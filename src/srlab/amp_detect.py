@@ -25,16 +25,17 @@ parameters across a calibration table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import least_squares
 from scipy.special import log_ndtr, ndtr
 
-from srlab.noise import NoiseSpec, generate_noise
+from srlab.experiments import simulate
+from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, envelope, generate, n_samples_for
-from srlab.trigger import TriggerConfig, run
+from srlab.trigger import TriggerConfig
 
 
 class FitError(RuntimeError):
@@ -221,10 +222,8 @@ def mean_t0_monte_carlo(
         seed=seed_base,
     )
     signal = generate(damped, sample_rate, duration)
-    t0s = np.empty(n_runs)
-    for r in range(n_runs):
-        noise = generate_noise(spec, sample_rate, duration, stream=stream_base + r)
-        t0s[r] = last_transition_time(run(trigger_config, signal, noise))
+    cells = [(trigger_config, spec, stream_base + r) for r in range(n_runs)]
+    t0s = np.asarray(simulate(signal, cells, sample_rate, duration, last_transition_time))
     n_none = int(np.count_nonzero(t0s == 0.0))
     kept = t0s if include_no_transition else t0s[t0s > 0.0]
     if kept.size == 0:
@@ -259,28 +258,18 @@ def t0_sigma_curve(
         raise ValueError("sigma grid must be strictly increasing")
     curve = []
     for i, sigma in enumerate(sigmas):
-        if sigma == 0.0:
-            # Noiseless: the trigger is deterministic, no sampling needed.
-            signal = generate(damped, sample_rate, duration)
-            zero = generate_noise(
-                NoiseSpec(0.0, noise_rate if noise_rate is not None else sample_rate,
-                          seed=seed_base),
-                sample_rate, duration,
-            )
-            t0 = last_transition_time(run(trigger_config, signal, zero))
-            curve.append(
-                T0Stats(sigma=0.0, mean_t0=t0, std_t0=0.0, n_runs=n_runs,
-                        n_no_transition=n_runs if t0 == 0.0 else 0)
-            )
-            continue
-        curve.append(
-            mean_t0_monte_carlo(
-                trigger_config, damped, float(sigma), n_runs, seed_base,
-                sample_rate, duration, noise_rate=noise_rate,
-                stream_base=i * n_runs,
-                include_no_transition=include_no_transition,
-            )
+        noiseless = sigma == 0.0
+        stats = mean_t0_monte_carlo(
+            trigger_config, damped, float(sigma), 1 if noiseless else n_runs, seed_base,
+            sample_rate, duration, noise_rate=noise_rate,
+            stream_base=i * n_runs,
+            include_no_transition=include_no_transition,
         )
+        if noiseless:
+            # Zero noise is the same on every stream, so one run stands for all.
+            stats = replace(stats, sigma=0.0, n_runs=n_runs,
+                            n_no_transition=n_runs * stats.n_no_transition)
+        curve.append(stats)
     return curve
 
 

@@ -20,11 +20,12 @@ from collections import Counter
 
 import numpy as np
 
+from srlab.experiments import simulate
 from srlab.freq_detect import transition_spectrum
-from srlab.noise import NoiseSpec, generate_noise
+from srlab.noise import NoiseSpec
 from srlab.signals import SignalSpec, generate
 from srlab.spectral import second_peak_frequency
-from srlab.trigger import TriggerConfig, run, transition_count
+from srlab.trigger import TriggerConfig, transition_count
 
 
 @dataclass(frozen=True)
@@ -128,26 +129,24 @@ def run_bank(
     (channel i uses stream i of seed_base); records each channel's
     transition rate, resonance flag, and spectral frequency estimate."""
     signal = generate(signal_spec, sample_rate, duration)
-    results = []
-    for i, det in enumerate(bank.detectors):
-        spec = NoiseSpec(
+    noise_rate = noise_rate if noise_rate is not None else sample_rate
+    cells = [(det.config, NoiseSpec(det.sigma, noise_rate, seed=seed_base), i)
+             for i, det in enumerate(bank.detectors)]
+    outcomes = simulate(
+        signal, cells, sample_rate, duration,
+        lambda out: (transition_count(out) / duration,
+                     second_peak_frequency(transition_spectrum(out))),
+    )
+    return BankReport(results=[
+        DetectorResult(
+            threshold=det.config.v_ut,
             sigma=det.sigma,
-            noise_rate=noise_rate if noise_rate is not None else sample_rate,
-            seed=seed_base,
+            transition_rate_hz=rate,
+            resonating=rate >= bank.min_transition_rate_hz,
+            f_est=f_est,
         )
-        noise = generate_noise(spec, sample_rate, duration, stream=i)
-        out = run(det.config, signal, noise)
-        rate = transition_count(out) / duration
-        results.append(
-            DetectorResult(
-                threshold=det.config.v_ut,
-                sigma=det.sigma,
-                transition_rate_hz=rate,
-                resonating=rate >= bank.min_transition_rate_hz,
-                f_est=second_peak_frequency(transition_spectrum(out)),
-            )
-        )
-    return BankReport(results=results)
+        for det, (rate, f_est) in zip(bank.detectors, outcomes)
+    ])
 
 
 def amplitude_bracket(report: BankReport) -> tuple[float, float] | None:
@@ -169,6 +168,16 @@ def amplitude_bracket(report: BankReport) -> tuple[float, float] | None:
     if n_res == 0 or n_res == len(flags):
         return None
     return ordered[n_res - 1].threshold, ordered[n_res].threshold
+
+
+def most_common_estimate(estimates) -> float | None:
+    """Most common frequency estimate, ties to the lowest; None entries
+    (no detection) are skipped and an all-None input gives None."""
+    counts = Counter(f for f in estimates if f is not None)
+    if not counts:
+        return None
+    top = max(counts.values())
+    return min(f for f, c in counts.items() if c == top)
 
 
 def vote_bank(
@@ -197,18 +206,12 @@ def vote_bank(
     for i in range(len(bank.detectors)):
         rows = [rep.results[i] for rep in reports]
         votes = sum(r.resonating for r in rows)
-        estimates = Counter(r.f_est for r in rows if r.f_est is not None)
-        if estimates:
-            top = max(estimates.values())
-            f_est = min(f for f, c in estimates.items() if c == top)
-        else:
-            f_est = None
         voted.append(
             replace(
                 rows[0],
                 transition_rate_hz=float(np.mean([r.transition_rate_hz for r in rows])),
                 resonating=votes * 2 > len(rows),
-                f_est=f_est,
+                f_est=most_common_estimate(r.f_est for r in rows),
             )
         )
     return BankReport(results=voted)

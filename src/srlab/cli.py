@@ -28,6 +28,7 @@ from srlab.amp_detect import (
 )
 from srlab.bank import (
     amplitude_bracket,
+    most_common_estimate,
     resonance_rate_for,
     sigma_sweep_bank,
     threshold_sweep_bank,
@@ -37,6 +38,7 @@ from srlab.csvio import (
     read_manifest,
     read_t0_curve_csv,
     write_bank_csv,
+    write_fits_csv,
     write_freq_table_csv,
     write_hysteresis_csv,
     write_manifest,
@@ -55,7 +57,13 @@ from srlab.freq_detect import (
 )
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Sine
-from srlab.trigger import calibrated_config, hysteresis_sweep, ideal_config, v_th_from_vdc
+from srlab.trigger import (
+    calibrated_config,
+    hysteresis_sweep,
+    ideal_config,
+    transition_count,
+    v_th_from_vdc,
+)
 
 # Parameter tables: name -> (kind, default, help).  Kinds: float, int, str,
 # flag, maybe_float (empty means absent), strlist (repeatable flag).
@@ -292,8 +300,7 @@ def run_transitions(p: dict, out: Path, prefix: str) -> str:
         build_trigger(p), _signal(p), _noise(p), p["sample_rate"], p["duration"]
     )
     write_waveforms_csv(out / f"{prefix}.csv", signal, combined, output)
-    flips = int(np.count_nonzero(output.samples[1:] != output.samples[:-1]))
-    return f"{flips} transitions in {p['duration']} s"
+    return f"{transition_count(output)} transitions in {p['duration']} s"
 
 
 def run_snr_sweep(p: dict, out: Path, prefix: str) -> str:
@@ -342,10 +349,9 @@ def run_optimal_sigma(p: dict, out: Path, prefix: str) -> str:
     damped = _signal(p)
     if not isinstance(damped, DampedSine):
         raise ValueError("optimal-sigma needs --decay > 0 (a damped input)")
-    rate = p["noise_rate"] if p["noise_rate"] is not None else p["sample_rate"]
     sigma_star, curve = optimal_sigma_search(
         build_trigger(p), damped, parse_grid(p["sigma_grid"]), p["repeats"],
-        p["sample_rate"], p["duration"], p["seed"], noise_rate=rate,
+        p["sample_rate"], p["duration"], p["seed"], noise_rate=p["noise_rate"],
     )
     write_sweep_csv(out / f"{prefix}.csv", curve)
     return f"best sigma {sigma_star} V"
@@ -371,11 +377,7 @@ def run_t0_curve(p: dict, out: Path, prefix: str) -> str:
 def run_fit_sigmoid(p: dict, out: Path, prefix: str) -> str:
     curve = read_t0_curve_csv(p["input"])
     fit = fit_sigmoid(curve, plateau_T=p["plateau"], float_plateau=p["float_plateau"])
-    write_rows(
-        out / f"{prefix}.csv",
-        ("decay_b", "slope_a", "center_b", "r2"),
-        [(p["decay"], fit.slope_a, fit.center_b, fit.r_squared)],
-    )
+    write_fits_csv(out / f"{prefix}.csv", [(p["decay"], fit)])
     return (
         f"slope {fit.slope_a:.2f} 1/V, center {fit.center_b:.4f} V, "
         f"r2 {fit.r_squared:.4f}"
@@ -392,15 +394,10 @@ def run_estimate_decay(p: dict, out: Path, prefix: str) -> str:
     estimate = calibrate_and_estimate_decay(
         curves, read_t0_curve_csv(p["observed"]), plateau_T=p["plateau"]
     )
-    write_rows(
+    write_fits_csv(
         out / f"{prefix}.csv",
-        ("decay_b", "slope_a", "center_b", "r2"),
-        [
-            (b, f.slope_a, f.center_b, f.r_squared)
-            for b, f in sorted(estimate.calibration_fits.items())
-        ]
-        + [(estimate.decay, estimate.observed_fit.slope_a,
-            estimate.observed_fit.center_b, estimate.observed_fit.r_squared)],
+        [*sorted(estimate.calibration_fits.items()),
+         (estimate.decay, estimate.observed_fit)],
     )
     note = " (extrapolated)" if estimate.extrapolated else ""
     return f"estimated decay {estimate.decay:.3f} 1/s{note}"
@@ -421,10 +418,9 @@ def run_bank_cmd(p: dict, out: Path, prefix: str) -> str:
         )
     else:
         raise ValueError(f"unknown bank mode {p['mode']!r} (use threshold or sigma)")
-    rate = p["noise_rate"] if p["noise_rate"] is not None else p["sample_rate"]
     report = vote_bank(
         bank, _signal(p), p["sample_rate"], p["duration"],
-        seed_bases=range(p["seed"], p["seed"] + p["votes"]), noise_rate=rate,
+        seed_bases=range(p["seed"], p["seed"] + p["votes"]), noise_rate=p["noise_rate"],
     )
     write_bank_csv(out / f"{prefix}.csv", report)
     n_res = sum(report.resonance_flags())
@@ -432,12 +428,8 @@ def run_bank_cmd(p: dict, out: Path, prefix: str) -> str:
         bracket = amplitude_bracket(report)
         where = "outside the sweep" if bracket is None else f"in [{bracket[0]}, {bracket[1]}] V"
         return f"{n_res}/{len(report.results)} channels resonate; amplitude {where}"
-    estimates = [r.f_est for r in report.results if r.resonating and r.f_est is not None]
-    if estimates:
-        counts: dict[float, int] = {}
-        for f in estimates:
-            counts[f] = counts.get(f, 0) + 1
-        consensus = min(counts, key=lambda f: (-counts[f], f))
+    consensus = most_common_estimate(r.f_est for r in report.results if r.resonating)
+    if consensus is not None:
         return f"{n_res} channels resonate; consensus frequency {consensus} Hz"
     return "no resonating channel produced a frequency estimate"
 
@@ -512,11 +504,7 @@ def _dispatch(args) -> str:
         if preset == "fig13":
             fit = fit_sigmoid(read_t0_curve_csv(out / "fig13.csv"),
                               plateau_T=params["duration"])
-            write_rows(
-                out / "fig13_fit.csv",
-                ("decay_b", "slope_a", "center_b", "r2"),
-                [(params["decay"], fit.slope_a, fit.center_b, fit.r_squared)],
-            )
+            write_fits_csv(out / "fig13_fit.csv", [(params["decay"], fit)])
             summary += f"; sigmoid r2 {fit.r_squared:.4f}"
         manifest = {"subcommand": "reproduce", "preset": preset, **params,
                     "version": srlab.__version__}

@@ -16,18 +16,23 @@ from __future__ import annotations
 import configparser
 from pathlib import Path
 
-from srlab.amp_detect import SigmoidFit, T0Stats
+import numpy as np
+
+from srlab.amp_detect import T0Stats
 from srlab.bank import BankReport
 from srlab.experiments import SweepResult
 from srlab.freq_detect import FreqDetectReport
 from srlab.signals import Trace
-from srlab.spectral import Spectrum
 from srlab.trigger import HysteresisLoop
 
 
 def _cell(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if value is None:
         return ""
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -78,14 +83,6 @@ def write_hysteresis_csv(path, loop: HysteresisLoop) -> None:
             yield ("descending", float(v_in), float(v_out))
 
     write_rows(path, ("direction", "v_in", "v_out"), rows())
-
-
-def write_spectrum_csv(path, spectrum: Spectrum) -> None:
-    write_rows(
-        path,
-        ("freq_hz", "mag_db"),
-        ((float(f), float(m)) for f, m in zip(spectrum.freqs(), spectrum.mag_db)),
-    )
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
@@ -144,14 +141,13 @@ def read_t0_curve_csv(path) -> list[T0Stats]:
     return curve
 
 
-def write_fits_csv(path, fits_by_decay: dict[float, SigmoidFit]) -> None:
+def write_fits_csv(path, fits) -> None:
+    """One row per (decay, SigmoidFit) pair, in the order given; a decay of
+    None (unlabelled curve) leaves its cell empty."""
     write_rows(
         path,
         ("decay_b", "slope_a", "center_b", "r2"),
-        (
-            (b, f.slope_a, f.center_b, f.r_squared)
-            for b, f in sorted(fits_by_decay.items())
-        ),
+        ((b, f.slope_a, f.center_b, f.r_squared) for b, f in fits),
     )
 
 

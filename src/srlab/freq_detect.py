@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.experiments import SweepResult, find_sr_peak, snr_sigma_sweep
-from srlab.noise import NoiseSpec, generate_noise
+from srlab.experiments import SweepResult, find_sr_peak, simulate, snr_sigma_sweep
+from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
 from srlab.spectral import Spectrum, periodogram, second_peak_frequency
-from srlab.trigger import TriggerConfig, run
+from srlab.trigger import TriggerConfig
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,10 @@ def detect_frequency(
     if not isinstance(damped, DampedSine):
         raise ValueError(f"detector expects a damped sinusoid, got {damped!r}")
     signal = generate(damped, sample_rate, duration)
-    noise = generate_noise(noise_spec, sample_rate, duration, stream=stream)
-    out = run(trigger_config, signal, noise)
-    f_est = second_peak_frequency(transition_spectrum(out), dc_guard_hz=dc_guard_hz)
+    [f_est] = simulate(
+        signal, [(trigger_config, noise_spec, stream)], sample_rate, duration,
+        lambda out: second_peak_frequency(transition_spectrum(out), dc_guard_hz=dc_guard_hz),
+    )
     error = None if f_est is None else 100.0 * abs(f_est - damped.frequency) / damped.frequency
     return FreqDetectReport(
         f_true=damped.frequency,

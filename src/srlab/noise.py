@@ -9,6 +9,7 @@ generator state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if self.noise_rate <= 0.0:
-            raise ValueError(f"noise_rate must be > 0, got {self.noise_rate}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0.0 < self.noise_rate < math.inf:
+            raise ValueError(f"noise_rate must be finite and > 0, got {self.noise_rate}")
         if not self.clip_low < self.clip_high:
             raise ValueError(
                 f"clip_low must be < clip_high, got [{self.clip_low}, {self.clip_high}]"

@@ -53,10 +53,12 @@ class Sine:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.frequency <= 0.0:
-            raise ValueError(f"frequency must be > 0, got {self.frequency}")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,12 @@ class DampedSine:
     frequency: float
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if self.decay < 0.0:
-            raise ValueError(f"decay must be >= 0, got {self.decay}")
-        if self.frequency <= 0.0:
-            raise ValueError(f"frequency must be > 0, got {self.frequency}")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0.0 <= self.decay < math.inf:
+            raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
 
 
 @dataclass(frozen=True)

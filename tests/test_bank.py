@@ -8,14 +8,18 @@ from srlab.bank import (
     Detector,
     DetectorResult,
     amplitude_bracket,
+    most_common_estimate,
     resonance_rate_for,
     run_bank,
     sigma_sweep_bank,
     threshold_sweep_bank,
     vote_bank,
 )
-from srlab.signals import Sine
-from srlab.trigger import TriggerConfig
+from srlab.freq_detect import transition_spectrum
+from srlab.noise import NoiseSpec, generate_noise
+from srlab.signals import Sine, generate
+from srlab.spectral import second_peak_frequency
+from srlab.trigger import TriggerConfig, run, transition_count
 
 
 def _result(threshold, resonating, f_est=None, rate=0.0, sigma=0.002):
@@ -139,6 +143,17 @@ class TestRunBank:
         c = run_bank(bank, SIGNAL, 20000.0, 0.2, seed_base=6)
         assert a != c
 
+    def test_channel_stream_protocol(self):
+        # channel i uses stream i of seed_base: rebuild every channel by hand
+        bank = threshold_sweep_bank(THRESHOLDS, 0.002, 250.0)
+        report = run_bank(bank, SIGNAL, 20000.0, 0.2, seed_base=5)
+        signal = generate(SIGNAL, 20000.0, 0.2)
+        for i, det in enumerate(bank.detectors):
+            noise = generate_noise(NoiseSpec(det.sigma, 20000.0, seed=5), 20000.0, 0.2, stream=i)
+            out = run(det.config, signal, noise)
+            assert report.results[i].transition_rate_hz == transition_count(out) / 0.2
+            assert report.results[i].f_est == second_peak_frequency(transition_spectrum(out))
+
     def test_resonating_channels_report_the_frequency(self):
         bank = threshold_sweep_bank(THRESHOLDS[:4], 0.002, 250.0)
         report = run_bank(bank, SIGNAL, 20000.0, 0.4)
@@ -189,6 +204,12 @@ class TestVoteBank:
                 assert row.f_est == min(f for f, c in counts.items() if c == top)
             else:
                 assert row.f_est is None
+
+    def test_most_common_estimate(self):
+        assert most_common_estimate([None, 500.0, 250.0, 500.0, 250.0]) == 250.0
+        assert most_common_estimate([250.0, 500.0, 500.0]) == 500.0
+        assert most_common_estimate([None, None]) is None
+        assert most_common_estimate([]) is None
 
     def test_mean_rate_aggregation(self):
         bank = threshold_sweep_bank(THRESHOLDS[:3], 0.002, 250.0)

@@ -87,6 +87,10 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    def test_nan_sigma_is_config_error(self, tmp_path):
+        rc = main(["transitions", "--sigma", "nan", "--out-dir", str(tmp_path)])
+        assert rc == 2
+
     def test_bad_calibration_entry(self, tmp_path):
         curve = _zero_curve_csv(tmp_path / "c.csv")
         rc = main(

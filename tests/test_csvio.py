@@ -39,6 +39,14 @@ class TestCellFormat:
         assert _cell([0.001, 0.002]) == "0.001;0.002"
         assert _cell((1, None, True)) == "1;;true"
 
+    def test_numpy_scalars_match_python_ones(self):
+        assert _cell(np.float64(0.5)) == "0.5"
+        assert _cell(np.float64(0.19899999999999998)) == "0.19899999999999998"
+        assert _cell(np.int64(42)) == "42"
+        assert _cell(np.bool_(True)) == "true"
+        assert _cell(np.bool_(False)) == "false"
+        assert _cell([np.float64(0.001), np.int32(2)]) == "0.001;2"
+
 
 class TestByteContract:
     def test_lf_endings_header_and_trailing_newline(self, tmp_path):
@@ -104,7 +112,7 @@ class TestOtherWriters:
             1.0: SigmoidFit(134.0, 0.0999, 1.5, 0.999, 1.0, 0.001),
         }
         path = tmp_path / "fits.csv"
-        write_fits_csv(path, fits)
+        write_fits_csv(path, sorted(fits.items()))
         lines = path.read_text().splitlines()
         assert lines[0] == "decay_b,slope_a,center_b,r2"
         assert lines[1].startswith("1.0,134.0")

@@ -8,9 +8,10 @@ from srlab.experiments import (
     signal_frequency,
     snr_sigma_sweep,
 )
-from srlab.noise import NoiseSpec
-from srlab.signals import DampedSine, Dc, Ramp, Sine
-from srlab.trigger import ideal_config, transition_count
+from srlab.noise import NoiseSpec, generate_noise
+from srlab.signals import DampedSine, Dc, Ramp, Sine, generate
+from srlab.spectral import periodogram, snr_db
+from srlab.trigger import ideal_config, run, transition_count
 
 CFG = ideal_config(1.0, 0.045, 0.5)
 SIGNAL = Sine(0.05, 500.0)  # sub-threshold after the divider
@@ -77,6 +78,23 @@ class TestSweep:
         a = _small_sweep(seed=0)
         b = _small_sweep(seed=101)
         assert np.argmax(a.snr_mean_db) == np.argmax(b.snr_mean_db) == 1
+
+    def test_cell_stream_protocol(self):
+        # cell (i, r) uses stream i*repeats + r: rebuild every level by hand
+        sigmas, repeats = [0.005, 0.05, 0.3], 3
+        sw = snr_sigma_sweep(
+            CFG, SIGNAL, NoiseSpec(1.0, 20000.0, seed=7), sigmas, 20000.0, 0.1, repeats
+        )
+        signal = generate(SIGNAL, 20000.0, 0.1)
+        for i, sigma in enumerate(sigmas):
+            snrs = [
+                snr_db(periodogram(run(CFG, signal, generate_noise(
+                    NoiseSpec(sigma, 20000.0, seed=7), 20000.0, 0.1, stream=i * repeats + r
+                ))), 500.0)
+                for r in range(repeats)
+            ]
+            assert sw.snr_mean_db[i] == np.mean(snrs)
+            assert sw.snr_std_db[i] == np.std(snrs)
 
     def test_single_sigma_allowed(self):
         sw = snr_sigma_sweep(

@@ -13,10 +13,18 @@ class TestNoiseSpec:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-0.1, noise_rate=1000.0)
+        with pytest.raises(ValueError):
+            NoiseSpec(sigma=float("nan"), noise_rate=1000.0)
+        with pytest.raises(ValueError):
+            NoiseSpec(sigma=float("inf"), noise_rate=1000.0)
 
     def test_rejects_bad_rate_and_clip(self):
         with pytest.raises(ValueError):
             NoiseSpec(sigma=0.1, noise_rate=0.0)
+        with pytest.raises(ValueError):
+            NoiseSpec(sigma=0.1, noise_rate=float("inf"))
+        with pytest.raises(ValueError):
+            NoiseSpec(sigma=0.1, noise_rate=float("nan"))
         with pytest.raises(ValueError):
             NoiseSpec(sigma=0.1, noise_rate=1000.0, clip_low=1.0, clip_high=-1.0)
 

@@ -42,12 +42,22 @@ class TestSpecs:
             Sine(amplitude=-0.5, frequency=10.0)
         with pytest.raises(ValueError):
             Sine(amplitude=1.0, frequency=0.0)
+        with pytest.raises(ValueError):
+            Sine(amplitude=float("nan"), frequency=10.0)
+        with pytest.raises(ValueError):
+            Sine(amplitude=1.0, frequency=float("inf"))
+        with pytest.raises(ValueError):
+            Sine(amplitude=1.0, frequency=10.0, phase=float("nan"))
 
     def test_damped_validation(self):
         with pytest.raises(ValueError):
             DampedSine(amplitude=-1.0, decay=1.0, frequency=10.0)
         with pytest.raises(ValueError):
             DampedSine(amplitude=1.0, decay=-0.5, frequency=10.0)
+        with pytest.raises(ValueError):
+            DampedSine(amplitude=1.0, decay=float("nan"), frequency=10.0)
+        with pytest.raises(ValueError):
+            DampedSine(amplitude=float("inf"), decay=1.0, frequency=10.0)
         # zero decay is a plain sine through the damped code path
         DampedSine(amplitude=1.0, decay=0.0, frequency=10.0)
 
