@@ -168,10 +168,13 @@ def last_transition_time(output: Trace) -> float:
     """Time of the final level change in a comparator output trace; 0.0 if
     the output never switches (the no-event sentinel)."""
     s = output.samples
-    flips = np.nonzero(s[1:] != s[:-1])[0]
-    if flips.size == 0:
+    # index of the last sample off the final level; bytes.rfind scans back
+    # from the end in C, where argmax over a reversed (strided) view runs
+    # several times slower than even a full forward scan
+    last_off = (s != s[-1]).tobytes().rfind(1)
+    if last_off < 0:
         return 0.0
-    return float((flips[-1] + 1) * output.dt)
+    return float((last_off + 1) * output.dt)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ by majority voting over independent seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from collections import Counter
 
@@ -36,8 +37,8 @@ class Detector:
     config: TriggerConfig
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,10 @@ class Dc:
 
     level: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise ValueError(f"level must be finite, got {self.level}")
+
 
 @dataclass(frozen=True)
 class Ramp:
@@ -92,17 +96,34 @@ class Ramp:
     v_start: float
     v_end: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.v_start) and math.isfinite(self.v_end)):
+            raise ValueError(f"ramp ends must be finite, got {self.v_start}, {self.v_end}")
+
 
 SignalSpec = Union[Sine, DampedSine, Dc, Ramp]
 
 
+# Largest grid any run may use: 2**25 = 33 554 432 samples, 256 MiB per
+# float64 array, and a run holds several such arrays at once.  A mistyped
+# duration or rate is refused here, before anything is allocated.
+MAX_SAMPLES = 2**25
+
+
 def n_samples_for(sample_rate: float, duration: float) -> int:
-    """Number of grid samples covering [0, duration) at sample_rate."""
-    if sample_rate <= 0.0:
-        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
-    if duration <= 0.0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    n = int(round(sample_rate * duration))
+    """Number of grid samples covering [0, duration) at sample_rate; at most
+    MAX_SAMPLES."""
+    if not 0.0 < sample_rate < math.inf:
+        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
+    # the product of two finite floats can still overflow to inf
+    n = int(round(min(sample_rate * duration, MAX_SAMPLES + 1)))
+    if n > MAX_SAMPLES:
+        raise ValueError(
+            f"{sample_rate} Hz for {duration} s exceeds the ceiling of "
+            f"{MAX_SAMPLES} samples per run"
+        )
     if n < 1:
         raise ValueError(
             f"duration {duration} too short for sample_rate {sample_rate}"

@@ -40,8 +40,9 @@ def _report(flags, thresholds=None):
 class TestConfigs:
     def test_detector_validation(self):
         cfg = TriggerConfig(1.0, -1.0, 0.01, -0.01, input_attenuation=1.0)
-        with pytest.raises(ValueError):
-            Detector(sigma=-0.1, config=cfg)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Detector(sigma=bad, config=cfg)
         assert Detector(sigma=0.0, config=cfg).sigma == 0.0
 
     def test_bank_needs_two_channels(self):

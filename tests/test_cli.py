@@ -1,4 +1,5 @@
 import argparse
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,27 @@ class TestExitCodes:
 
     def test_nan_sigma_is_config_error(self, tmp_path):
         rc = main(["transitions", "--sigma", "nan", "--out-dir", str(tmp_path)])
+        assert rc == 2
+
+    def test_infinite_duration_is_config_error(self, tmp_path):
+        rc = main(["transitions", "--duration", "inf", "--out-dir", str(tmp_path)])
+        assert rc == 2
+
+    def test_oversized_run_refused_before_allocating(self, tmp_path):
+        # 1e12 s at the default rate would need terabytes per array; the
+        # sample ceiling refuses it while only a few MB have been allocated
+        tracemalloc.start()
+        try:
+            rc = main(["transitions", "--duration", "1e12", "--out-dir", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 16 * 2**20
+        assert not list(tmp_path.iterdir())
+
+    def test_oversized_sweep_is_config_error(self, tmp_path):
+        rc = main(["hysteresis", "--points", str(10**12), "--out-dir", str(tmp_path)])
         assert rc == 2
 
     def test_bad_calibration_entry(self, tmp_path):

@@ -8,6 +8,7 @@ from srlab.signals import (
     Sine,
     Trace,
     envelope,
+    MAX_SAMPLES,
     generate,
     n_samples_for,
 )
@@ -61,6 +62,15 @@ class TestSpecs:
         # zero decay is a plain sine through the damped code path
         DampedSine(amplitude=1.0, decay=0.0, frequency=10.0)
 
+    def test_dc_and_ramp_refuse_non_finite(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                Dc(bad)
+            with pytest.raises(ValueError):
+                Ramp(bad, 0.1)
+            with pytest.raises(ValueError):
+                Ramp(-0.1, bad)
+
 
 class TestNSamples:
     def test_rounding(self):
@@ -72,6 +82,20 @@ class TestNSamples:
             n_samples_for(0.0, 1.0)
         with pytest.raises(ValueError):
             n_samples_for(1000.0, 0.0)
+
+    def test_rejects_non_finite(self):
+        for rate, duration in ((float("nan"), 1.0), (1000.0, float("nan")),
+                               (float("inf"), 1.0), (1000.0, float("inf"))):
+            with pytest.raises(ValueError):
+                n_samples_for(rate, duration)
+
+    def test_sample_ceiling(self):
+        # only the count is computed, so oversized grids cost nothing to refuse
+        assert n_samples_for(float(MAX_SAMPLES), 1.0) == MAX_SAMPLES
+        for rate, duration in ((float(MAX_SAMPLES + 1), 1.0), (20000.0, 1e12),
+                               (1e300, 1e300)):
+            with pytest.raises(ValueError, match="ceiling"):
+                n_samples_for(rate, duration)
 
 
 class TestGenerate:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import Dc, Ramp, Sine, Trace, generate
+from srlab.signals import MAX_SAMPLES, Dc, Ramp, Sine, Trace, generate
 from srlab.trigger import (
     HysteresisLoop,
     TriggerConfig,
@@ -39,6 +39,13 @@ class TestConfig:
                 TriggerConfig(1.0, -1.0, 0.1, -0.1, input_attenuation=bad)
         cfg = TriggerConfig(1.0, -1.0, 0.1, -0.1, input_attenuation=1.0)
         assert cfg.input_attenuation == 1.0
+
+    def test_non_finite_levels_rejected(self):
+        inf, nan = float("inf"), float("nan")
+        for bad in ((1.0, -1.0, inf, -1.0), (1.0, -1.0, 0.1, -inf), (1.0, -1.0, nan, -0.1),
+                    (inf, -1.0, 0.1, -0.1), (1.0, -inf, 0.1, -0.1), (nan, -1.0, 0.1, -0.1)):
+            with pytest.raises(ValueError):
+                TriggerConfig(*bad)
 
     def test_output_levels(self):
         cfg = TriggerConfig(0.93, -0.915, 0.1, -0.1)
@@ -222,6 +229,8 @@ class TestHysteresis:
             hysteresis_sweep(cfg, 0.2, -0.2, points=100)
         with pytest.raises(ValueError):
             hysteresis_sweep(cfg, -0.2, 0.2, points=1)
+        with pytest.raises(ValueError):
+            hysteresis_sweep(cfg, -0.2, 0.2, points=MAX_SAMPLES + 1)
 
     def test_loop_is_dataclass(self):
         assert HysteresisLoop.__dataclass_fields__.keys() >= {
