@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from srlab.signals import (
+    MAX_SAMPLES,
     Dc,
     DampedSine,
     Ramp,
     Sine,
     Trace,
     envelope,
-    MAX_SAMPLES,
     generate,
     n_samples_for,
 )
