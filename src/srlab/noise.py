@@ -65,20 +65,17 @@ def generate_noise(
     ratio = sample_rate / spec.noise_rate
     m = round(ratio)
     whole = m >= 1 and abs(ratio - m) < 1e-9
-    if whole:
-        n_draws = -(-n // m)
+    if whole and m == 1:
+        idx = None  # one draw per sample: the draws are the samples
+    elif whole:
+        idx = np.arange(n) // m
     else:
         idx = (np.arange(n) / ratio).astype(np.int64)
-        n_draws = int(idx[-1]) + 1
+    n_draws = n if idx is None else int(idx[-1]) + 1
     rng = noise_stream(spec.seed, stream)
     # normal(0, sigma), not sigma * standard_normal(): at sigma = 0 the
     # product turns negative draws into -0.0, where normal gives +0.0
     draws = rng.normal(0.0, spec.sigma, size=n_draws)
     np.clip(draws, spec.clip_low, spec.clip_high, out=draws)
-    if not whole:
-        samples = draws[idx]
-    elif m == 1:
-        samples = draws
-    else:
-        samples = np.repeat(draws, m)[:n]
+    samples = draws if idx is None else draws[idx]
     return Trace(start_time=0.0, dt=1.0 / sample_rate, samples=samples)

@@ -181,6 +181,7 @@ class TestNoiseHold:
     @example(300, 2.5, 0.4, (-5.0, 5.0), 1, 2)     # non-integer ratio
     @example(300, 1.0, 0.0, (-5.0, 5.0), 1, 2)     # sigma = 0
     @example(301, 3.0, 0.0, (-0.3, 0.25), 1, 2)
+    @example(5, 2.0**40, 0.4, (-5.0, 5.0), 1, 2)   # hold ratio far above n: one draw
     def test_equals_gather(self, n, ratio, sigma, clip, seed, stream):
         spec = NoiseSpec(sigma, self.SAMPLE_RATE / ratio, clip_low=clip[0],
                          clip_high=clip[1], seed=seed)
