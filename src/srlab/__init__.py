@@ -64,7 +64,6 @@ from srlab.amp_detect import (
     fit_sigmoid,
     last_transition_time,
     mean_t0_monte_carlo,
-    p_t0_density,
     phi,
     t0_density_grid,
     t0_sigma_curve,
@@ -131,7 +130,6 @@ __all__ = [
     "mean_t0_monte_carlo",
     "noise_stream",
     "optimal_sigma_search",
-    "p_t0_density",
     "periodogram",
     "phi",
     "resonance_rate_for",

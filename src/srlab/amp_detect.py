@@ -14,7 +14,7 @@ Two routes to the mean last-transition time <t0> live here:
   drive envelope; the last-event time then has per-step mass
   P(t0 = t_k) = Phi(-v(t_k)/sigma) * prod_{j>k} Phi(v(t_j)/sigma),
   evaluated in log space with the product's sum taken as a trapezoid
-  integral over the grid (p_t0_density, expected_t0_theory).
+  integral over the grid (t0_density_grid, expected_t0_theory).
 
 The <t0>-vs-sigma curve is sigmoidal; fitting plateau/(1+exp(-a(sigma-c)))
 gives parameters (slope_a, center_b) that move with the decay constant, and
@@ -32,7 +32,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import least_squares
 from scipy.special import log_ndtr, ndtr
 
-from srlab.experiments import simulate
+from srlab.experiments import sigma_grid, simulate
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, envelope, generate, n_samples_for
 from srlab.trigger import TriggerConfig
@@ -62,12 +62,10 @@ def phi(x):
 class ThresholdGap:
     """Threshold-minus-envelope values v(t_k) on a uniform time grid.
 
-    v0 is the switching threshold itself (comparator-referred); values[k]
-    is the remaining gap at t_k = k*dt.  All probability-model quantities
-    are computed on this grid.
+    values[k] is the remaining gap at t_k = k*dt, comparator-referred.  All
+    probability-model quantities are computed on this grid.
     """
 
-    v0: float
     values: np.ndarray
     dt: float
 
@@ -102,7 +100,7 @@ def envelope_gap(
     dt = 1.0 / sample_rate
     t = dt * np.arange(n)
     scaled = trigger_config.input_attenuation * envelope(damped, t)
-    return ThresholdGap(v0=trigger_config.v_ut, values=trigger_config.v_ut - scaled, dt=dt)
+    return ThresholdGap(values=trigger_config.v_ut - scaled, dt=dt)
 
 
 def t0_density_grid(gap: ThresholdGap, sigma: float) -> np.ndarray:
@@ -123,15 +121,6 @@ def t0_density_grid(gap: ThresholdGap, sigma: float) -> np.ndarray:
     cum = np.concatenate(([0.0], np.cumsum(steps)))
     suffix = cum[-1] - cum
     return ndtr(-x) * np.exp(suffix / gap.dt) / gap.dt
-
-
-def p_t0_density(gap: ThresholdGap, sigma: float, t0: float) -> float:
-    """Density of the last transition occurring at time t0 (snapped to the
-    nearest grid instant)."""
-    if not 0.0 <= t0 <= gap.total_time + 0.5 * gap.dt:
-        raise ValueError(f"t0 {t0} outside grid [0, {gap.total_time}]")
-    k = min(int(round(t0 / gap.dt)), gap.values.size - 1)
-    return float(t0_density_grid(gap, sigma)[k])
 
 
 def expected_t0_theory(gap: ThresholdGap, sigma: float) -> float:
@@ -208,14 +197,12 @@ def mean_t0_monte_carlo(
     duration: float,
     noise_rate: float | None = None,
     stream_base: int = 0,
-    include_no_transition: bool = True,
 ) -> T0Stats:
     """Mean/std of the last transition time over n_runs independent noisy
     simulations (run r uses noise stream stream_base + r).
 
-    Runs with no transition contribute the 0.0 sentinel to the statistics
-    by default — the curve then starts at 0 for sub-threshold noise; pass
-    include_no_transition=False to average the switching runs only.
+    Runs with no transition contribute the 0.0 sentinel to the statistics,
+    so the curve starts at 0 for sub-threshold noise.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -227,16 +214,12 @@ def mean_t0_monte_carlo(
     signal = generate(damped, sample_rate, duration)
     cells = [(trigger_config, spec, stream_base + r) for r in range(n_runs)]
     t0s = np.asarray(simulate(signal, cells, sample_rate, duration, last_transition_time))
-    n_none = int(np.count_nonzero(t0s == 0.0))
-    kept = t0s if include_no_transition else t0s[t0s > 0.0]
-    if kept.size == 0:
-        kept = np.zeros(1)
     return T0Stats(
         sigma=float(sigma),
-        mean_t0=float(kept.mean()),
-        std_t0=float(kept.std()),
+        mean_t0=float(t0s.mean()),
+        std_t0=float(t0s.std()),
         n_runs=n_runs,
-        n_no_transition=n_none,
+        n_no_transition=int(np.count_nonzero(t0s == 0.0)),
     )
 
 
@@ -249,24 +232,17 @@ def t0_sigma_curve(
     sample_rate: float = 20000.0,
     duration: float = 1.5,
     noise_rate: float | None = None,
-    include_no_transition: bool = True,
 ) -> list[T0Stats]:
     """mean_t0_monte_carlo at every noise level of a strictly increasing
     grid; level i uses streams [i*n_runs, (i+1)*n_runs), so all cells are
     independent and the curve reproducible from (seed_base, config)."""
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if sigmas.size == 0:
-        raise ValueError("sigma grid is empty")
-    if sigmas.size > 1 and not np.all(np.diff(sigmas) > 0.0):
-        raise ValueError("sigma grid must be strictly increasing")
     curve = []
-    for i, sigma in enumerate(sigmas):
+    for i, sigma in enumerate(sigma_grid(sigmas)):
         noiseless = sigma == 0.0
         stats = mean_t0_monte_carlo(
             trigger_config, damped, float(sigma), 1 if noiseless else n_runs, seed_base,
             sample_rate, duration, noise_rate=noise_rate,
             stream_base=i * n_runs,
-            include_no_transition=include_no_transition,
         )
         if noiseless:
             # Zero noise is the same on every stream, so one run stands for all.

@@ -64,12 +64,12 @@ class BankConfig:
             )
 
 
-def resonance_rate_for(frequency: float, hops_per_period: float = 1.0) -> float:
+def resonance_rate_for(frequency: float) -> float:
     """Transition-rate criterion matched to a drive frequency: at resonance
     the output crosses about once per half period, i.e. rate ~ frequency."""
     if frequency <= 0.0:
         raise ValueError(f"frequency must be > 0, got {frequency}")
-    return hops_per_period * frequency
+    return frequency
 
 
 @dataclass(frozen=True)
@@ -222,10 +222,9 @@ def threshold_sweep_bank(
     thresholds,
     sigma: float,
     min_transition_rate_hz: float,
-    v_sat: float = 1.0,
 ) -> BankConfig:
     """Amplitude-bracketing preset: common noise level, symmetric threshold
-    pairs swept over `thresholds` (strictly increasing).
+    pairs swept over `thresholds` (strictly increasing), rails at +/-1 V.
 
     Channels take the raw input directly (no attenuator), so thresholds
     read in the same units as the signal amplitude being bracketed.
@@ -239,7 +238,7 @@ def threshold_sweep_bank(
         Detector(
             sigma=sigma,
             config=TriggerConfig(
-                v_sat_pos=v_sat, v_sat_neg=-v_sat, v_ut=t, v_lt=-t,
+                v_sat_pos=1.0, v_sat_neg=-1.0, v_ut=t, v_lt=-t,
                 input_attenuation=1.0,
             ),
         )
@@ -252,16 +251,15 @@ def sigma_sweep_bank(
     sigmas,
     threshold: float,
     min_transition_rate_hz: float,
-    v_sat: float = 1.0,
 ) -> BankConfig:
-    """Frequency-hunting preset: common symmetric threshold, noise level
-    swept over `sigmas` (strictly increasing); read f_est off whichever
-    channels resonate."""
+    """Frequency-hunting preset: common symmetric threshold, rails at
+    +/-1 V, noise level swept over `sigmas` (strictly increasing); read
+    f_est off whichever channels resonate."""
     sigmas = [float(s) for s in sigmas]
     if len(sigmas) > 1 and not all(a < b for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError("sigmas must be strictly increasing")
     config = TriggerConfig(
-        v_sat_pos=v_sat, v_sat_neg=-v_sat, v_ut=threshold, v_lt=-threshold,
+        v_sat_pos=1.0, v_sat_neg=-1.0, v_ut=threshold, v_lt=-threshold,
         input_attenuation=1.0,
     )
     detectors = tuple(Detector(sigma=s, config=config) for s in sigmas)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 bad usage/configuration, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -56,7 +57,7 @@ from srlab.freq_detect import (
     summarize_error_table,
 )
 from srlab.noise import NoiseSpec
-from srlab.signals import DampedSine, Sine
+from srlab.signals import MAX_SAMPLES, DampedSine, Sine
 from srlab.trigger import (
     calibrated_config,
     hysteresis_sweep,
@@ -72,7 +73,7 @@ from srlab.trigger import (
 _SIM = {
     "sample_rate": ("float", 20000.0, "sampling rate, Hz"),
     "noise_rate": ("maybe_float", None, "noise draw rate, Hz (default: sample rate)"),
-    "seed": ("int", 0, "base noise seed (env SRLAB_SEED overrides this default)"),
+    "seed": ("int", 0, "base noise seed (env SRLAB_SEED replaces this default)"),
 }
 
 _TRIG = {
@@ -182,33 +183,42 @@ TABLES: dict[str, dict] = {
     },
 }
 
+# Preset -> subcommand whose defaults it runs.
 PRESETS = {
-    "fig4": ("transitions", {}),
-    "fig5": ("snr-sweep", {}),
-    "fig6": ("hysteresis", {}),
-    "fig8": (None, {}),  # threshold-law table, handled directly
-    "table1": ("freq-table", {}),
-    "fig12": ("optimal-sigma", {}),
-    "fig13": ("t0-curve", {}),
+    "fig4": "transitions",
+    "fig5": "snr-sweep",
+    "fig6": "hysteresis",
+    "fig8": None,  # threshold-law table, handled directly
+    "table1": "freq-table",
+    "fig12": "optimal-sigma",
+    "fig13": "t0-curve",
 }
 
 
 def parse_grid(text: str) -> np.ndarray:
     """Grid syntax: 'start:stop:step' (inclusive of both ends when step
-    divides the span) or a comma-separated list."""
+    divides the span) or a comma-separated list.  Values must be finite and
+    a range may hold at most MAX_SAMPLES points, checked before allocating."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid {text!r} needs finite start, stop and step")
         if step <= 0.0 or stop <= start:
             raise ValueError(f"grid {text!r} needs stop > start and step > 0")
-        n = int(round((stop - start) / step)) + 1
+        # the quotient of two finite floats can still overflow to inf
+        n = int(round(min((stop - start) / step, MAX_SAMPLES))) + 1
+        if n > MAX_SAMPLES:
+            raise ValueError(f"grid {text!r} has more than {MAX_SAMPLES} points")
         return np.linspace(start, start + (n - 1) * step, n)
     values = np.asarray([float(p) for p in text.split(",") if p.strip() != ""])
     if values.size == 0:
         raise ValueError(f"grid {text!r} is empty")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"grid {text!r} has non-finite values")
     return values
 
 
@@ -242,9 +252,9 @@ def add_table_arguments(parser: argparse.ArgumentParser, table: dict) -> None:
             parser.add_argument(flag, type=str, default=None, help=shown)
 
 
-def resolve_params(args, table: dict, config: dict, overrides: dict) -> dict:
-    """Merge one parameter set: flag > config file > preset override >
-    built-in default.  Raises ValueError for missing required values."""
+def resolve_params(args, table: dict, config: dict) -> dict:
+    """Merge one parameter set: flag > config file > built-in default.
+    Raises ValueError for missing required values."""
     out = {}
     for name, (kind, default, _help) in table.items():
         value = getattr(args, name, None)
@@ -253,7 +263,7 @@ def resolve_params(args, table: dict, config: dict, overrides: dict) -> dict:
         if value is None and name in config:
             value = _parse_config_value(kind, config[name])
         if value is None:
-            value = overrides.get(name, default)
+            value = default
         if value is None and kind == "flag":
             value = False
         if value is None and kind not in ("maybe_float",):
@@ -497,9 +507,9 @@ def _dispatch(args) -> str:
         if preset == "fig8":
             table, runner = _FIG8_TABLE, run_threshold_law
         else:
-            cmd = PRESETS[preset][0]
+            cmd = PRESETS[preset]
             table, runner = TABLES[cmd], RUNNERS[cmd]
-        params = resolve_params(args, table, config, PRESETS[preset][1])
+        params = resolve_params(args, table, config)
         summary = runner(params, out, preset)
         if preset == "fig13":
             fit = fit_sigmoid(read_t0_curve_csv(out / "fig13.csv"),
@@ -514,7 +524,7 @@ def _dispatch(args) -> str:
     stored = config.get("subcommand")
     if stored not in (None, args.command):
         raise ValueError(f"config file is for {stored!r}, not {args.command!r}")
-    params = resolve_params(args, TABLES[args.command], config, {})
+    params = resolve_params(args, TABLES[args.command], config)
     summary = RUNNERS[args.command](params, out, args.command.replace("-", "_"))
     manifest = {"subcommand": args.command, **params, "version": srlab.__version__}
     write_manifest(out / f"{args.command.replace('-', '_')}_manifest.ini", manifest)

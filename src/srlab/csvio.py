@@ -53,14 +53,6 @@ def write_rows(path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def write_trace_csv(path, trace: Trace) -> None:
-    write_rows(
-        path,
-        ("time_s", "volts"),
-        ((float(t), float(v)) for t, v in zip(trace.times(), trace.samples)),
-    )
-
-
 def write_waveforms_csv(path, signal: Trace, combined: Trace, output: Trace) -> None:
     """Aligned capture of a single run: clean input, comparator input, output."""
     write_rows(
@@ -121,7 +113,10 @@ def write_t0_curve_csv(path, curve) -> None:
 def read_t0_curve_csv(path) -> list[T0Stats]:
     """Inverse of write_t0_curve_csv, for feeding saved curves back into
     the fitting commands."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read t0-curve file {path}: {exc.strerror}") from exc
     if not lines or lines[0] != "sigma_v,mean_t0_s,std_t0_s,n_runs,n_no_transition":
         raise ValueError(f"{path} is not a t0-curve CSV (bad header)")
     curve = []

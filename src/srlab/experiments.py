@@ -70,6 +70,17 @@ def simulate(signal: Trace, cells, sample_rate: float, duration: float, reduce) 
     return results
 
 
+def sigma_grid(sigmas) -> np.ndarray:
+    """A noise-level grid as a float64 array; refuses an empty grid and one
+    that is not strictly increasing."""
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    if sigmas.size == 0:
+        raise ValueError("sigma grid is empty")
+    if sigmas.size > 1 and not np.all(np.diff(sigmas) > 0.0):
+        raise ValueError("sigma grid must be strictly increasing")
+    return sigmas
+
+
 def signal_frequency(spec: SignalSpec) -> float:
     """Oscillation frequency of a periodic signal spec.
 
@@ -98,11 +109,7 @@ def snr_sigma_sweep(
     sigma and repeat sees an independent noise realization while the whole
     sweep stays a pure function of (inputs, seed).
     """
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if sigmas.size == 0:
-        raise ValueError("sigma grid is empty")
-    if sigmas.size > 1 and not np.all(np.diff(sigmas) > 0.0):
-        raise ValueError("sigma grid must be strictly increasing")
+    sigmas = sigma_grid(sigmas)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     f_signal = signal_frequency(signal_spec)

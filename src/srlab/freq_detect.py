@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.experiments import SweepResult, find_sr_peak, simulate, snr_sigma_sweep
+from srlab.experiments import SweepResult, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
 from srlab.spectral import Spectrum, periodogram, second_peak_frequency
@@ -211,7 +211,4 @@ def optimal_sigma_search(
     curve = snr_sigma_sweep(
         trigger_config, damped, template, sigmas, sample_rate, duration, repeats
     )
-    if len(curve) < 3:
-        return float(curve.sigmas[int(np.argmax(curve.snr_mean_db))]), curve
-    sigma_star, _ = find_sr_peak(curve)
-    return sigma_star, curve
+    return float(curve.sigmas[int(np.argmax(curve.snr_mean_db))]), curve

@@ -14,6 +14,7 @@ import numpy as np
 from srlab.signals import Trace
 
 MAG_FLOOR = 1e-12
+MIN_PROMINENCE_DB = 6.0
 
 
 @dataclass(frozen=True)
@@ -45,19 +46,12 @@ class Spectrum:
         return self.df * (self.mag_db.size - 1)
 
 
-def periodogram(trace: Trace, window: str = "rectangular", floor: float = MAG_FLOOR) -> Spectrum:
-    """One-sided magnitude spectrum of a trace; mag_db = 20*log10(|X_k|)
-    with |X_k| clamped below by `floor`.
-
-    window: "rectangular" (default, no taper) or "hann".
-    """
+def periodogram(trace: Trace) -> Spectrum:
+    """One-sided magnitude spectrum of a trace (rectangular window, no
+    taper); mag_db = 20*log10(|X_k|) with |X_k| clamped below by MAG_FLOOR."""
     x = trace.samples
-    if window == "hann":
-        x = x * np.hanning(x.size)
-    elif window != "rectangular":
-        raise ValueError(f"unknown window {window!r}")
     mag = np.abs(np.fft.rfft(x))
-    np.maximum(mag, floor, out=mag)
+    np.maximum(mag, MAG_FLOOR, out=mag)
     return Spectrum(df=trace.sample_rate / x.size, mag_db=20.0 * np.log10(mag), n_samples=x.size)
 
 
@@ -69,52 +63,41 @@ def _bin_for(spectrum: Spectrum, f: float) -> int:
     return int(round(f / spectrum.df))
 
 
-def snr_db(spectrum: Spectrum, f_signal: float, include_signal_bin: bool = True) -> float:
+def snr_db(spectrum: Spectrum, f_signal: float) -> float:
     """Signal-to-noise ratio in dB: magnitude at the bin nearest f_signal
     minus the mean dB magnitude of the spectrum.
 
-    By default the signal bin itself stays in the mean (its leverage over
-    thousands of bins is negligible); pass include_signal_bin=False to
-    leave it out.
+    The signal bin itself stays in the mean; its leverage over thousands of
+    bins is negligible.
     """
     k = _bin_for(spectrum, f_signal)
     mags = spectrum.mag_db
-    if include_signal_bin:
-        mean = float(np.mean(mags))
-    else:
-        mean = float((np.sum(mags) - mags[k]) / (mags.size - 1))
-    return float(mags[k] - mean)
+    return float(mags[k] - float(np.mean(mags)))
 
 
 def second_peak_frequency(
-    spectrum: Spectrum,
-    dc_guard_hz: float | None = None,
-    min_prominence_db: float = 6.0,
-    require_local_max: bool = True,
+    spectrum: Spectrum, dc_guard_hz: float | None = None
 ) -> float | None:
     """Frequency of the dominant non-DC spectral peak, or None.
 
     The spectrum of a switched output always has its largest structure at
     and around 0 Hz, so candidate bins must lie above dc_guard_hz (default
-    2*df, skipping DC and its immediate leakage).  The winner is the
-    largest candidate; it must clear the spectrum's median magnitude by
-    min_prominence_db, and, with require_local_max (default), must also be
-    a strict local maximum — a point standing above both neighbours rather
-    than a slope of the DC structure.
+    2*df, skipping DC and its immediate leakage) and be strict local maxima
+    (a point standing above both neighbours rather than a slope of the DC
+    structure).  The winner is the largest candidate; it must clear the
+    spectrum's median magnitude by MIN_PROMINENCE_DB.
     """
     if dc_guard_hz is None:
         dc_guard_hz = 2.0 * spectrum.df
     mags = spectrum.mag_db
     freqs = spectrum.freqs()
-    candidates = freqs > dc_guard_hz
-    if require_local_max:
-        interior = np.zeros(mags.size, dtype=bool)
-        interior[1:-1] = (mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])
-        candidates &= interior
+    candidates = np.zeros(mags.size, dtype=bool)
+    candidates[1:-1] = (mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])
+    candidates &= freqs > dc_guard_hz
     if not np.any(candidates):
         return None
     idx = np.nonzero(candidates)[0]
     k = idx[np.argmax(mags[idx])]
-    if mags[k] < float(np.median(mags)) + min_prominence_db:
+    if mags[k] < float(np.median(mags)) + MIN_PROMINENCE_DB:
         return None
     return float(freqs[k])

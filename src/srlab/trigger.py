@@ -33,7 +33,6 @@ class TriggerConfig:
     v_sat_pos / v_sat_neg   the two output rails, volts
     v_ut / v_lt             upper / lower switching thresholds, volts
     input_attenuation       divider gain applied to signal+noise (0 < a <= 1)
-    v_dc                    supply setting the thresholds, kept for bookkeeping
     """
 
     v_sat_pos: float
@@ -41,7 +40,6 @@ class TriggerConfig:
     v_ut: float
     v_lt: float
     input_attenuation: float = 0.5
-    v_dc: float | None = None
 
     def __post_init__(self):
         for name in ("v_sat_pos", "v_sat_neg", "v_ut", "v_lt"):
@@ -96,7 +94,6 @@ def ideal_config(
         v_ut=v_ut,
         v_lt=v_lt,
         input_attenuation=input_attenuation,
-        v_dc=v_dc,
     )
 
 
@@ -112,7 +109,6 @@ def calibrated_config(v_dc: float, input_attenuation: float = 0.5) -> TriggerCon
         v_ut=v_th,
         v_lt=-v_th,
         input_attenuation=input_attenuation,
-        v_dc=v_dc,
     )
 
 

@@ -16,7 +16,6 @@ from srlab.amp_detect import (
     fit_sigmoid,
     last_transition_time,
     mean_t0_monte_carlo,
-    p_t0_density,
     phi,
     t0_density_grid,
     t0_sigma_curve,
@@ -74,20 +73,19 @@ class TestPhi:
 class TestThresholdGap:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ThresholdGap(0.1, np.zeros(5), dt=0.0)
+            ThresholdGap(np.zeros(5), dt=0.0)
         with pytest.raises(ValueError):
-            ThresholdGap(0.1, np.zeros(1), dt=1e-4)
+            ThresholdGap(np.zeros(1), dt=1e-4)
         with pytest.raises(ValueError):
-            ThresholdGap(0.1, np.zeros((2, 2)), dt=1e-4)
+            ThresholdGap(np.zeros((2, 2)), dt=1e-4)
 
     def test_grid_accessors(self):
-        gap = ThresholdGap(0.1, np.zeros(5), dt=0.25)
+        gap = ThresholdGap(np.zeros(5), dt=0.25)
         assert gap.total_time == 1.0
         np.testing.assert_allclose(gap.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_envelope_gap_formula(self):
         gap = envelope_gap(CFG4, DRIVE, 20000.0, 0.01)
-        assert gap.v0 == CFG4.v_ut
         assert gap.values.size == n_samples_for(20000.0, 0.01)
         t = gap.times()
         expected = CFG4.v_ut - 0.5 * envelope(DRIVE, t)
@@ -104,7 +102,7 @@ class TestDensityGrid:
         values = np.linspace(-0.03, 0.15, 12)
         dt = 1e-3
         sigma = 0.05
-        gap = ThresholdGap(0.15, values, dt=dt)
+        gap = ThresholdGap(values, dt=dt)
         dens = t0_density_grid(gap, sigma)
 
         n = values.size
@@ -122,7 +120,7 @@ class TestDensityGrid:
         # v == 0 everywhere: each step crosses with chance 1/2, so
         # mass_k = 0.5^(n-k) exactly
         n = 20
-        gap = ThresholdGap(0.0, np.zeros(n), dt=1e-3)
+        gap = ThresholdGap(np.zeros(n), dt=1e-3)
         masses = t0_density_grid(gap, 0.1) * gap.dt
         expected = 0.5 ** (n - np.arange(n))
         np.testing.assert_allclose(masses, expected, rtol=1e-12)
@@ -135,28 +133,18 @@ class TestDensityGrid:
             assert total >= 0.0
 
     def test_sigma_validated(self):
-        gap = ThresholdGap(0.1, np.full(5, 0.1), dt=1e-3)
+        gap = ThresholdGap(np.full(5, 0.1), dt=1e-3)
         with pytest.raises(ValueError):
             t0_density_grid(gap, 0.0)
         with pytest.raises(ValueError):
             expected_t0_theory(gap, -0.1)
-
-    def test_point_density_snaps_to_grid(self):
-        gap = ThresholdGap(0.1, np.full(10, 0.02), dt=1e-3)
-        dens = t0_density_grid(gap, 0.05)
-        assert p_t0_density(gap, 0.05, 0.00449) == dens[4]
-        assert p_t0_density(gap, 0.05, 0.00451) == dens[5]
-        with pytest.raises(ValueError):
-            p_t0_density(gap, 0.05, -0.01)
-        with pytest.raises(ValueError):
-            p_t0_density(gap, 0.05, gap.total_time + gap.dt)
 
 
 class TestExpectedT0:
     def test_zero_gap_closed_form_expectation(self):
         n = 30
         dt = 1e-3
-        gap = ThresholdGap(0.0, np.zeros(n), dt=dt)
+        gap = ThresholdGap(np.zeros(n), dt=dt)
         k = np.arange(n)
         expected = float(np.sum(k * dt * 0.5 ** (n - k)))
         assert expected_t0_theory(gap, 0.2) == pytest.approx(expected, rel=1e-12)
@@ -226,13 +214,6 @@ class TestMonteCarlo:
         # noise is far too small to bridge the rest
         stats = mean_t0_monte_carlo(CFG4, DRIVE, 0.01, 6, 0, 20000.0, 0.3)
         assert stats.mean_t0 == 0.0
-        assert stats.n_no_transition == 6
-
-    def test_silent_runs_excluded_on_request(self):
-        stats = mean_t0_monte_carlo(
-            CFG4, DRIVE, 0.01, 6, 0, 20000.0, 0.3, include_no_transition=False
-        )
-        assert stats.mean_t0 == 0.0  # zero fallback when nothing switched
         assert stats.n_no_transition == 6
 
     def test_n_runs_validated(self):

@@ -57,7 +57,6 @@ class TestConfigs:
 
     def test_resonance_rate(self):
         assert resonance_rate_for(500.0) == 500.0
-        assert resonance_rate_for(500.0, hops_per_period=2.0) == 1000.0
         with pytest.raises(ValueError):
             resonance_rate_for(0.0)
 

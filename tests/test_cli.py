@@ -27,7 +27,8 @@ class TestParseGrid:
         np.testing.assert_allclose(parse_grid("0.01, 0.02,0.04"), [0.01, 0.02, 0.04])
 
     def test_bad_grids_rejected(self):
-        for bad in ("0:0.5", "0.5:0:0.01", "0:0.5:-0.1", ""):
+        for bad in ("0:0.5", "0.5:0:0.01", "0:0.5:-0.1", "", "0:inf:0.1", "nan:1:0.1",
+                    "0:1:1e-12", "0:1e308:1e-308", "0.1,nan"):
             with pytest.raises(ValueError):
                 parse_grid(bad)
 
@@ -45,29 +46,27 @@ class TestResolveParams:
             setattr(ns, k, v)
         return ns
 
-    def test_precedence_flag_config_override_default(self):
+    def test_precedence_flag_config_default(self):
         args = self._args(sigma=0.9, label="x")
-        got = resolve_params(args, self.TABLE, {"sigma": "0.5"}, {"sigma": 0.3})
+        got = resolve_params(args, self.TABLE, {"sigma": "0.5"})
         assert got["sigma"] == 0.9  # flag wins
-        got = resolve_params(self._args(label="x"), self.TABLE, {"sigma": "0.5"}, {"sigma": 0.3})
+        got = resolve_params(self._args(label="x"), self.TABLE, {"sigma": "0.5"})
         assert got["sigma"] == 0.5  # then config
-        got = resolve_params(self._args(label="x"), self.TABLE, {}, {"sigma": 0.3})
-        assert got["sigma"] == 0.3  # then preset override
-        got = resolve_params(self._args(label="x"), self.TABLE, {}, {})
+        got = resolve_params(self._args(label="x"), self.TABLE, {})
         assert got["sigma"] == 0.05  # finally the built-in default
 
     def test_missing_required_raises(self):
         with pytest.raises(ValueError):
-            resolve_params(self._args(), self.TABLE, {}, {})
+            resolve_params(self._args(), self.TABLE, {})
 
     def test_env_seed_fallback(self, monkeypatch):
         monkeypatch.setenv("SRLAB_SEED", "77")
-        got = resolve_params(self._args(label="x"), self.TABLE, {}, {})
+        got = resolve_params(self._args(label="x"), self.TABLE, {})
         assert got["seed"] == 77
         # an explicit flag or config value beats the environment
-        got = resolve_params(self._args(label="x", seed=3), self.TABLE, {}, {})
+        got = resolve_params(self._args(label="x", seed=3), self.TABLE, {})
         assert got["seed"] == 3
-        got = resolve_params(self._args(label="x"), self.TABLE, {"seed": "9"}, {})
+        got = resolve_params(self._args(label="x"), self.TABLE, {"seed": "9"})
         assert got["seed"] == 9
 
 
@@ -112,6 +111,20 @@ class TestExitCodes:
     def test_oversized_sweep_is_config_error(self, tmp_path):
         rc = main(["hysteresis", "--points", str(10**12), "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_oversized_grid_is_config_error(self, tmp_path):
+        # 10**12 noise levels would ask numpy for 7.28 TiB before any check
+        rc = main(["t0-curve", "--sigma-grid", "0:1:1e-12", "--out-dir", str(tmp_path)])
+        assert rc == 2
+
+    def test_missing_input_csv_is_config_error(self, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        curve = str(_zero_curve_csv(tmp_path / "c.csv"))
+        cal = [a for b in (1, 2, 3) for a in ("--calibration", f"{b}={curve}")]
+        for argv in (["fit-sigmoid", "--input", missing],
+                     ["estimate-decay", *cal, "--observed", missing],
+                     ["estimate-decay", *cal[:-1], f"3={missing}", "--observed", curve]):
+            assert main([*argv, "--out-dir", str(tmp_path)]) == 2
 
     def test_bad_calibration_entry(self, tmp_path):
         curve = _zero_curve_csv(tmp_path / "c.csv")

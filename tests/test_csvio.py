@@ -13,7 +13,7 @@ from srlab.csvio import (
     write_manifest,
     write_rows,
     write_t0_curve_csv,
-    write_trace_csv,
+    write_waveforms_csv,
 )
 from srlab.freq_detect import FreqDetectReport
 from srlab.signals import Trace
@@ -58,19 +58,20 @@ class TestByteContract:
     def test_identical_input_identical_bytes(self, tmp_path):
         tr = Trace(0.0, 1e-4, np.array([0.0, 0.5, -0.5]))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(p1, tr)
-        write_trace_csv(p2, tr)
+        write_waveforms_csv(p1, tr, tr, tr)
+        write_waveforms_csv(p2, tr, tr, tr)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_trace_roundtrip_precision(self, tmp_path):
-        # repr floats must round-trip exactly through the text form
+        # repr floats must round-trip exactly through the text form, in
+        # every waveform column
         samples = np.array([0.1, 1 / 3, 0.19899999999999998])
         tr = Trace(0.0, 1e-4, samples)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, tr)
-        rows = path.read_text().splitlines()[1:]
-        back = np.array([float(r.split(",")[1]) for r in rows])
-        np.testing.assert_array_equal(back, samples)
+        path = tmp_path / "waveforms.csv"
+        write_waveforms_csv(path, tr, Trace(0.0, 1e-4, -samples), tr)
+        rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+        back = np.array([[float(v) for v in r[1:]] for r in rows])
+        np.testing.assert_array_equal(back, np.column_stack([samples, -samples, samples]))
 
 
 class TestFreqTable:

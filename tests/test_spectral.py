@@ -58,19 +58,6 @@ class TestPeriodogram:
         time_energy = float(np.sum(tr.samples**2))
         assert abs(spectral_energy - time_energy) / time_energy < 1e-9
 
-    def test_hann_window_changes_leakage(self):
-        # off-bin tone: the taper trades mainlobe width for sidelobe height
-        tr = generate(Sine(1.0, 503.0), 20000.0, 0.1)  # not on a 10 Hz bin
-        rect = periodogram(tr)
-        hann = periodogram(tr, window="hann")
-        # far-sidelobe level (1 kHz away from the tone) drops with hann
-        assert hann.mag_db[150] < rect.mag_db[150]
-
-    def test_unknown_window_rejected(self):
-        tr = generate(Dc(0.0), 1000.0, 0.1)
-        with pytest.raises(ValueError):
-            periodogram(tr, window="blackman")
-
 
 class TestSnr:
     def test_pure_tone_is_loud(self):
@@ -83,11 +70,6 @@ class TestSnr:
         spec = periodogram(tr)
         assert snr_db(spec, 503.0) == snr_db(spec, 500.0)
         assert snr_db(spec, 497.0) == snr_db(spec, 500.0)
-
-    def test_excluding_signal_bin_raises_snr(self):
-        tr = generate(Sine(0.1, 500.0), 20000.0, 0.1)
-        spec = periodogram(tr)
-        assert snr_db(spec, 500.0, include_signal_bin=False) > snr_db(spec, 500.0)
 
     def test_out_of_band_frequency_rejected(self):
         spec = _flat_spectrum(-100.0)
@@ -121,14 +103,10 @@ class TestSecondPeak:
         spec = self._with_tone(25, -30.0, slope=True)
         assert second_peak_frequency(spec) == 25.0
 
-    def test_local_max_rule_can_be_disabled(self):
-        spec = self._with_tone(25, -30.0, slope=True)
-        assert second_peak_frequency(spec, require_local_max=False) == 3.0
-
     def test_prominence_gate(self):
         spec = self._with_tone(25, -95.0)  # only 5 dB above the -100 median
         assert second_peak_frequency(spec) is None
-        assert second_peak_frequency(spec, min_prominence_db=4.0) == 25.0
+        assert second_peak_frequency(self._with_tone(25, -93.0)) == 25.0  # 7 dB
 
     def test_dc_guard_excludes_low_bins(self):
         spec = self._with_tone(2, -5.0)
