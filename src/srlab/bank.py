@@ -58,9 +58,9 @@ class BankConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if len(self.detectors) < 2:
             raise ValueError(f"a bank needs >= 2 detectors, got {len(self.detectors)}")
-        if self.min_transition_rate_hz <= 0.0:
+        if not 0.0 < self.min_transition_rate_hz < math.inf:
             raise ValueError(
-                f"min_transition_rate_hz must be > 0, got {self.min_transition_rate_hz}"
+                f"min_transition_rate_hz must be in (0, inf), got {self.min_transition_rate_hz}"
             )
 
 

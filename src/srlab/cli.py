@@ -66,9 +66,25 @@ from srlab.trigger import (
     v_th_from_vdc,
 )
 
-# Parameter tables: name -> (kind, default, help).  Kinds: float, int, str,
-# flag, maybe_float (empty means absent), strlist (repeatable flag).
+
+def maybe_float(text: str) -> float | None:
+    """A float, or None (the parameter is absent) for empty text."""
+    return None if text.strip() == "" else float(text)
+
+
+# Parameter tables: name -> (kind, default, help).  KINDS turns flag and config
+# text into a value of each kind; a flag (store_true) and a strlist (repeatable
+# flag, ";"-joined in a config) take their command-line form from _ACTIONS.
 # A None default with no flag given and no config value means "required".
+KINDS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "maybe_float": maybe_float,
+    "flag": lambda text: text.strip().lower() == "true",
+    "strlist": lambda text: [p for p in text.split(";") if p],
+}
+_ACTIONS = {"flag": "store_true", "strlist": "append"}
 
 _SIM = {
     "sample_rate": ("float", 20000.0, "sampling rate, Hz"),
@@ -141,9 +157,8 @@ TABLES: dict[str, dict] = {
         **_SIM,
     },
     "t0-curve": {
+        **_TRIG,
         "vdc": ("float", 4.0, "supply voltage, V"),
-        "ratio": ("float", 0.045, "feedback divider ratio (divider law only)"),
-        "attenuation": ("float", 0.5, "input divider gain"),
         "law": ("str", "calibrated", "threshold law: divider or calibrated"),
         "amplitude": ("float", 0.1, "signal amplitude, V"),
         "decay": ("float", 5.0, "decay constant, 1/s"),
@@ -183,18 +198,6 @@ TABLES: dict[str, dict] = {
     },
 }
 
-# Preset -> subcommand whose defaults it runs.
-PRESETS = {
-    "fig4": "transitions",
-    "fig5": "snr-sweep",
-    "fig6": "hysteresis",
-    "fig8": None,  # threshold-law table, handled directly
-    "table1": "freq-table",
-    "fig12": "optimal-sigma",
-    "fig13": "t0-curve",
-}
-
-
 def parse_grid(text: str) -> np.ndarray:
     """Grid syntax: 'start:stop:step' (inclusive of both ends when step
     divides the span) or a comma-separated list.  Values must be finite and
@@ -222,34 +225,12 @@ def parse_grid(text: str) -> np.ndarray:
     return values
 
 
-def _parse_config_value(kind: str, raw: str):
-    if kind == "float":
-        return float(raw)
-    if kind == "int":
-        return int(raw)
-    if kind == "flag":
-        return raw.strip().lower() == "true"
-    if kind == "maybe_float":
-        return None if raw.strip() == "" else float(raw)
-    if kind == "strlist":
-        return [p for p in raw.split(";") if p]
-    return raw
-
-
 def add_table_arguments(parser: argparse.ArgumentParser, table: dict) -> None:
     for name, (kind, default, help_text) in table.items():
         flag = "--" + name.replace("_", "-")
         shown = f"{help_text} [default: {default}]" if default is not None else help_text
-        if kind == "flag":
-            parser.add_argument(flag, action="store_true", default=None, help=shown)
-        elif kind == "strlist":
-            parser.add_argument(flag, action="append", default=None, help=shown)
-        elif kind == "int":
-            parser.add_argument(flag, type=int, default=None, help=shown)
-        elif kind == "float":
-            parser.add_argument(flag, type=float, default=None, help=shown)
-        else:  # str, maybe_float as raw string
-            parser.add_argument(flag, type=str, default=None, help=shown)
+        how = {"action": _ACTIONS[kind]} if kind in _ACTIONS else {"type": KINDS[kind]}
+        parser.add_argument(flag, default=None, help=shown, **how)
 
 
 def resolve_params(args, table: dict, config: dict) -> dict:
@@ -258,15 +239,11 @@ def resolve_params(args, table: dict, config: dict) -> dict:
     out = {}
     for name, (kind, default, _help) in table.items():
         value = getattr(args, name, None)
-        if value is not None and kind == "maybe_float":
-            value = _parse_config_value(kind, value)
         if value is None and name in config:
-            value = _parse_config_value(kind, config[name])
+            value = KINDS[kind](config[name])
         if value is None:
             value = default
-        if value is None and kind == "flag":
-            value = False
-        if value is None and kind not in ("maybe_float",):
+        if value is None and kind != "maybe_float":
             raise ValueError(f"--{name.replace('_', '-')} is required")
         out[name] = value
     if "seed" in table and getattr(args, "seed", None) is None and "seed" not in config:
@@ -345,7 +322,7 @@ def run_freq_table(p: dict, out: Path, prefix: str) -> str:
         sample_rate=p["sample_rate"], duration=p["duration"], seed_base=p["seed"],
         dc_guard_hz=p["dc_guard"],
     )
-    frequencies = [float(f) for f in p["frequencies"].split(",")]
+    frequencies = parse_grid(p["frequencies"])
     reports = error_rate_table(build_trigger(p), frequencies, setup, p["repeats"])
     write_freq_table_csv(out / f"{prefix}.csv", reports)
     parts = []
@@ -367,8 +344,8 @@ def run_optimal_sigma(p: dict, out: Path, prefix: str) -> str:
     return f"best sigma {sigma_star} V"
 
 
-def _t0_curve(p: dict):
-    return t0_sigma_curve(
+def run_t0_curve(p: dict, out: Path, prefix: str) -> str:
+    curve = t0_sigma_curve(
         build_trigger(p),
         DampedSine(p["amplitude"], p["decay"], p["frequency"]),
         parse_grid(p["sigma_grid"]),
@@ -376,10 +353,6 @@ def _t0_curve(p: dict):
         sample_rate=p["sample_rate"], duration=p["duration"],
         noise_rate=p["noise_rate"],
     )
-
-
-def run_t0_curve(p: dict, out: Path, prefix: str) -> str:
-    curve = _t0_curve(p)
     write_t0_curve_csv(out / f"{prefix}.csv", curve)
     return f"{len(curve)} noise levels, final mean t0 {curve[-1].mean_t0:.4f} s"
 
@@ -467,8 +440,16 @@ RUNNERS = {
     "bank": run_bank_cmd,
 }
 
-_FIG8_TABLE = {
-    "vdc_grid": ("str", "1:4:0.25", "supply voltage grid, V"),
+# Preset -> (table, runner); fig8 alone runs no subcommand's defaults.
+PRESETS = {
+    "fig4": (TABLES["transitions"], run_transitions),
+    "fig5": (TABLES["snr-sweep"], run_snr_sweep),
+    "fig6": (TABLES["hysteresis"], run_hysteresis),
+    "fig8": ({"vdc_grid": ("str", "1:4:0.25", "supply voltage grid, V")},
+             run_threshold_law),
+    "table1": (TABLES["freq-table"], run_freq_table),
+    "fig12": (TABLES["optimal-sigma"], run_optimal_sigma),
+    "fig13": (TABLES["t0-curve"], run_t0_curve),
 }
 
 
@@ -480,60 +461,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=srlab.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, table in TABLES.items():
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        add_table_arguments(p, table)
-        p.add_argument("--out-dir", default=".", help="artifact directory [default: .]")
-        p.add_argument("--config", default=None, help="INI config/manifest to load")
+        add_table_arguments(sub.add_parser(name, help=f"run the {name} experiment"), table)
     rep = sub.add_parser("reproduce", help="run a canned experiment preset")
     rep.add_argument("preset", choices=sorted(PRESETS))
     rep.add_argument("--seed", type=int, default=None, help="base noise seed")
-    rep.add_argument("--out-dir", default=".", help="artifact directory [default: .]")
-    rep.add_argument("--config", default=None, help="INI config/manifest to load")
+    for p in sub.choices.values():
+        p.add_argument("--out-dir", default=".", help="artifact directory [default: .]")
+        p.add_argument("--config", default=None, help="INI config/manifest to load")
     return parser
 
 
 def _dispatch(args) -> str:
+    if args.command == "reproduce":
+        key, name = "preset", args.preset
+        table, runner = PRESETS[name]
+    else:
+        key, name = "subcommand", args.command
+        table, runner = TABLES[name], RUNNERS[name]
+    prefix = name.replace("-", "_")
     config = read_manifest(args.config) if args.config else {}
+    stored = config.get(key)
+    if stored not in (None, name):
+        raise ValueError(f"config file is for {key} {stored!r}, not {name!r}")
+    params = resolve_params(args, table, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    if args.command == "reproduce":
-        preset = args.preset
-        stored = config.get("preset")
-        if stored is not None and stored != preset:
-            raise ValueError(
-                f"config file is for preset {stored!r}, not {preset!r}"
-            )
-        if preset == "fig8":
-            table, runner = _FIG8_TABLE, run_threshold_law
-        else:
-            cmd = PRESETS[preset]
-            table, runner = TABLES[cmd], RUNNERS[cmd]
-        params = resolve_params(args, table, config)
-        summary = runner(params, out, preset)
-        if preset == "fig13":
-            fit = fit_sigmoid(read_t0_curve_csv(out / "fig13.csv"),
-                              plateau_T=params["duration"])
-            write_fits_csv(out / "fig13_fit.csv", [(params["decay"], fit)])
-            summary += f"; sigmoid r2 {fit.r_squared:.4f}"
-        manifest = {"subcommand": "reproduce", "preset": preset, **params,
-                    "version": srlab.__version__}
-        write_manifest(out / f"{preset}_manifest.ini", manifest)
-        return summary
-
-    stored = config.get("subcommand")
-    if stored not in (None, args.command):
-        raise ValueError(f"config file is for {stored!r}, not {args.command!r}")
-    params = resolve_params(args, TABLES[args.command], config)
-    summary = RUNNERS[args.command](params, out, args.command.replace("-", "_"))
-    manifest = {"subcommand": args.command, **params, "version": srlab.__version__}
-    write_manifest(out / f"{args.command.replace('-', '_')}_manifest.ini", manifest)
+    summary = runner(params, out, prefix)
+    if prefix == "fig13":
+        fit = fit_sigmoid(read_t0_curve_csv(out / "fig13.csv"), plateau_T=params["duration"])
+        write_fits_csv(out / "fig13_fit.csv", [(params["decay"], fit)])
+        summary += f"; sigmoid r2 {fit.r_squared:.4f}"
+    # a subcommand's key is "subcommand" itself, so its manifest has no preset
+    manifest = {"subcommand": args.command, key: name, **params, "version": srlab.__version__}
+    write_manifest(out / f"{prefix}_manifest.ini", manifest)
     return summary
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         summary = _dispatch(args)
     except ValueError as exc:

@@ -104,8 +104,8 @@ def snr_sigma_sweep(
     """Sweep the noise standard deviation, measuring output SNR at the
     signal frequency.
 
-    noise_template provides everything about the noise except sigma (rate,
-    clip limits, seed); cell (i, r) uses stream i*repeats + r, so every
+    noise_template provides everything about the noise except sigma (rate
+    and seed); cell (i, r) uses stream i*repeats + r, so every
     sigma and repeat sees an independent noise realization while the whole
     sweep stays a pure function of (inputs, seed).
     """
@@ -146,7 +146,6 @@ def capture_transitions(
     noise_spec: NoiseSpec,
     sample_rate: float,
     duration: float,
-    stream: int = 0,
 ) -> tuple[Trace, Trace, Trace]:
     """One noisy run with all three waveforms kept for inspection.
 
@@ -155,7 +154,7 @@ def capture_transitions(
     on the same time grid.
     """
     signal = generate(signal_spec, sample_rate, duration)
-    noise = generate_noise(noise_spec, sample_rate, duration, stream=stream)
+    noise = generate_noise(noise_spec, sample_rate, duration)
     combined = Trace(
         start_time=signal.start_time,
         dt=signal.dt,

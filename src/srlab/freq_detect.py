@@ -128,6 +128,8 @@ def error_rate_table(
     frequencies = [float(f) for f in frequencies]
     if not frequencies:
         raise ValueError("frequency list is empty")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     reports = []
     for fi, f in enumerate(frequencies):
         damped = DampedSine(base_params.amplitude, base_params.decay, f)

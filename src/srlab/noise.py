@@ -16,6 +16,8 @@ import numpy as np
 
 from srlab.signals import Trace, n_samples_for
 
+CLIP_V = 5.0  # hard amplitude limit applied to every draw, volts
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -24,14 +26,11 @@ class NoiseSpec:
     sigma       standard deviation of the raw draws, volts
     noise_rate  rate at which fresh values are drawn, Hz; samples between
                 draws repeat the previous value (zero-order hold)
-    clip_low/high   hard amplitude limits applied per draw, volts
     seed        base seed; combined with a stream index at generation time
     """
 
     sigma: float
     noise_rate: float
-    clip_low: float = -5.0
-    clip_high: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
@@ -39,10 +38,6 @@ class NoiseSpec:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 < self.noise_rate < math.inf:
             raise ValueError(f"noise_rate must be finite and > 0, got {self.noise_rate}")
-        if not self.clip_low < self.clip_high:
-            raise ValueError(
-                f"clip_low must be < clip_high, got [{self.clip_low}, {self.clip_high}]"
-            )
 
 
 def noise_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -76,6 +71,6 @@ def generate_noise(
     # normal(0, sigma), not sigma * standard_normal(): at sigma = 0 the
     # product turns negative draws into -0.0, where normal gives +0.0
     draws = rng.normal(0.0, spec.sigma, size=n_draws)
-    np.clip(draws, spec.clip_low, spec.clip_high, out=draws)
+    np.clip(draws, -CLIP_V, CLIP_V, out=draws)
     samples = draws if idx is None else draws[idx]
     return Trace(start_time=0.0, dt=1.0 / sample_rate, samples=samples)

@@ -63,8 +63,8 @@ class TriggerConfig:
 def thresholds_from_divider(v_sat: float, ratio: float) -> tuple[float, float]:
     """Symmetric thresholds (+v_sat*ratio, -v_sat*ratio) from the feedback
     divider ratio."""
-    if v_sat <= 0.0:
-        raise ValueError(f"v_sat must be > 0, got {v_sat}")
+    if not 0.0 < v_sat < math.inf:
+        raise ValueError(f"v_sat must be finite and > 0, got {v_sat}")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     return (v_sat * ratio, -v_sat * ratio)
@@ -78,8 +78,8 @@ def v_th_from_vdc(v_dc: float) -> float:
     rounded to 12 decimals; binary float residue would otherwise keep e.g.
     v_dc=4 from reproducing its printed value 0.199 exactly.
     """
-    if v_dc <= 0.0:
-        raise ValueError(f"v_dc must be > 0, got {v_dc}")
+    if not 0.0 < v_dc < math.inf:
+        raise ValueError(f"v_dc must be finite and > 0, got {v_dc}")
     return round(0.051 * v_dc - 0.005, 12)
 
 
@@ -214,6 +214,8 @@ def hysteresis_sweep(
     when the sweep spans both thresholds.  Recorded inputs are the raw sweep
     values; the attenuator is applied internally just like in run().
     """
+    if not (math.isfinite(v_min) and math.isfinite(v_max)):
+        raise ValueError(f"sweep ends must be finite, got {v_min}, {v_max}")
     if not v_min < v_max:
         raise ValueError(f"require v_min < v_max, got {v_min} >= {v_max}")
     if not 2 <= points <= MAX_SAMPLES:

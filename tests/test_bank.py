@@ -49,11 +49,12 @@ class TestConfigs:
         cfg = TriggerConfig(1.0, -1.0, 0.01, -0.01, input_attenuation=1.0)
         with pytest.raises(ValueError):
             BankConfig(detectors=(Detector(0.1, cfg),), min_transition_rate_hz=100.0)
-        with pytest.raises(ValueError):
-            BankConfig(
-                detectors=(Detector(0.1, cfg), Detector(0.2, cfg)),
-                min_transition_rate_hz=0.0,
-            )
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                BankConfig(
+                    detectors=(Detector(0.1, cfg), Detector(0.2, cfg)),
+                    min_transition_rate_hz=rate,
+                )
 
     def test_resonance_rate(self):
         assert resonance_rate_for(500.0) == 500.0

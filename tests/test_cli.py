@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from srlab.amp_detect import T0Stats
-from srlab.cli import main, parse_grid, resolve_params
+from srlab.cli import TABLES, main, parse_grid, resolve_params
 from srlab.csvio import read_manifest, write_t0_curve_csv
 
 
@@ -14,6 +14,14 @@ def _zero_curve_csv(path, n_points=26):
     curve = [T0Stats(float(s), 0.0, 0.0, 10, 10) for s in x]
     write_t0_curve_csv(path, curve)
     return path
+
+
+def _sigmoid_curve_csv(path, decay):
+    """A t0 curve whose sigmoid slope and centre grow linearly with decay."""
+    x = np.round(np.linspace(0.0, 0.5, 51), 10)
+    y = 1.5 / (1.0 + np.exp(-(100.0 + 8.0 * decay) * (x - 0.05 - 0.01 * decay)))
+    write_t0_curve_csv(path, [T0Stats(float(s), float(t), 0.0, 50, 0) for s, t in zip(x, y)])
+    return str(path)
 
 
 class TestParseGrid:
@@ -134,6 +142,36 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    SHORT = ["--duration", "0.05"]
+    ONE_CELL = ["--frequencies", "500", "--repeats", "1", *SHORT]
+
+    @pytest.mark.parametrize("argv", [
+        ["freq-table", "--repeats", "0"],
+        ["detect-freq", "--dc-guard", "nan", *SHORT],
+        ["detect-freq", "--dc-guard", "inf", *SHORT],
+        ["freq-table", "--dc-guard", "nan", *ONE_CELL],
+        ["freq-table", "--dc-guard", "inf", *ONE_CELL],
+        ["bank", "--min-rate", "nan", "--votes", "1", *SHORT],
+        ["bank", "--min-rate", "inf", "--votes", "1", *SHORT],
+        ["hysteresis", "--v-max", "inf"],
+    ], ids=lambda argv: "_".join(argv[:3]))
+    def test_silent_bad_input_is_config_error(self, tmp_path, argv):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_malformed_maybe_float_refused_by_argparse(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bank", "--min-rate", "abc", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid maybe_float value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [*TABLES, "reproduce"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--out-dir" in capsys.readouterr().out
+
     def test_config_subcommand_mismatch(self, tmp_path):
         rc = main(["hysteresis", "--out-dir", str(tmp_path)])
         assert rc == 0
@@ -217,6 +255,23 @@ class TestReplay:
         manifest = a / "snr_sweep_manifest.ini"
         assert main(["snr-sweep", "--config", str(manifest), "--out-dir", str(c)]) == 0
         assert read_manifest(c / "snr_sweep_manifest.ini")["seed"] == "4"
+
+    def test_flag_and_strlist_replay_is_byte_identical(self, tmp_path):
+        # the flag and strlist kinds, which no other replay reads from a config
+        curve = {b: _sigmoid_curve_csv(tmp_path / f"b{b}.csv", b) for b in (1, 3, 4, 5)}
+        cal = [a for b in (1, 3, 5) for a in ("--calibration", f"{b}={curve[b]}")]
+        runs = [(["fit-sigmoid", "--input", curve[4], "--float-plateau", "--decay", "5"],
+                 "fit_sigmoid"),
+                (["estimate-decay", *cal, "--observed", curve[4]], "estimate_decay")]
+        for argv, stem in runs:
+            a, c = tmp_path / f"{stem}_a", tmp_path / f"{stem}_c"
+            assert main([*argv, "--out-dir", str(a)]) == 0
+            manifest = a / f"{stem}_manifest.ini"
+            assert main([argv[0], "--config", str(manifest), "--out-dir", str(c)]) == 0
+            for name in (f"{stem}.csv", f"{stem}_manifest.ini"):
+                assert (a / name).read_bytes() == (c / name).read_bytes()
+        fit_manifest = read_manifest(tmp_path / "fit_sigmoid_a" / "fit_sigmoid_manifest.ini")
+        assert fit_manifest["float_plateau"] == "true"
 
 
 class TestPresets:

@@ -167,16 +167,3 @@ class TestCapture:
             )
             counts.append(transition_count(out))
         assert counts[0] < counts[1] < counts[2]
-
-    def test_stream_selects_realization(self):
-        _, _, a = capture_transitions(
-            CFG, SIGNAL, NoiseSpec(0.1, 20000.0, seed=2), 20000.0, 0.05, stream=0
-        )
-        _, _, b = capture_transitions(
-            CFG, SIGNAL, NoiseSpec(0.1, 20000.0, seed=2), 20000.0, 0.05, stream=1
-        )
-        _, _, a2 = capture_transitions(
-            CFG, SIGNAL, NoiseSpec(0.1, 20000.0, seed=2), 20000.0, 0.05, stream=0
-        )
-        assert not np.array_equal(a.samples, b.samples)
-        np.testing.assert_array_equal(a.samples, a2.samples)

@@ -128,6 +128,8 @@ class TestErrorTable:
     def test_empty_frequency_list_rejected(self):
         with pytest.raises(ValueError):
             error_rate_table(CFG, [], DetectionSetup())
+        with pytest.raises(ValueError):
+            error_rate_table(CFG, [500.0], DetectionSetup(), repeats=0)
 
     def test_mid_band_accuracy_and_low_band_misses(self):
         reports = error_rate_table(CFG, [10.0, 500.0], DetectionSetup(), repeats=5)

@@ -18,15 +18,13 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=float("inf"), noise_rate=1000.0)
 
-    def test_rejects_bad_rate_and_clip(self):
+    def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             NoiseSpec(sigma=0.1, noise_rate=0.0)
         with pytest.raises(ValueError):
             NoiseSpec(sigma=0.1, noise_rate=float("inf"))
         with pytest.raises(ValueError):
             NoiseSpec(sigma=0.1, noise_rate=float("nan"))
-        with pytest.raises(ValueError):
-            NoiseSpec(sigma=0.1, noise_rate=1000.0, clip_low=1.0, clip_high=-1.0)
 
 
 class TestDeterminism:
@@ -71,12 +69,6 @@ class TestClipping:
         # sigma=10 guarantees the limits are actually exercised
         assert np.any(tr.samples == 5.0)
         assert np.any(tr.samples == -5.0)
-
-    def test_custom_bounds(self):
-        spec = NoiseSpec(sigma=1.0, noise_rate=5000.0, clip_low=-0.5, clip_high=0.25, seed=3)
-        tr = generate_noise(spec, 5000.0, 1.0)
-        assert tr.samples.max() <= 0.25
-        assert tr.samples.min() >= -0.5
 
 
 class TestZeroOrderHold:

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from srlab.amp_detect import last_transition_time  # noqa: E402
-from srlab.noise import NoiseSpec, generate_noise, noise_stream  # noqa: E402
+from srlab.noise import CLIP_V, NoiseSpec, generate_noise, noise_stream  # noqa: E402
 from srlab.signals import Trace, n_samples_for  # noqa: E402
 from srlab.trigger import (  # noqa: E402
     TriggerConfig,
@@ -163,7 +163,7 @@ def gather_noise(spec, sample_rate, duration, stream):
     else:
         idx = (np.arange(n) / ratio).astype(np.int64)
     draws = noise_stream(spec.seed, stream).normal(0.0, spec.sigma, size=int(idx[-1]) + 1)
-    np.clip(draws, spec.clip_low, spec.clip_high, out=draws)
+    np.clip(draws, -CLIP_V, CLIP_V, out=draws)
     return draws[idx]
 
 
@@ -173,18 +173,16 @@ class TestNoiseHold:
     @PROPERTY
     @given(st.integers(1, 400),
            st.sampled_from([1.0, 2.0, 3.0, 7.0, 2.5, 1.0 / 0.7, 0.8]),
-           st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
-           st.sampled_from([(-5.0, 5.0), (-0.3, 0.25)]),
+           st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
            st.integers(0, 2**32), st.integers(0, 1000))
-    @example(300, 1.0, 0.4, (-5.0, 5.0), 1, 2)     # m = 1: the draws are the samples
-    @example(301, 3.0, 0.4, (-5.0, 5.0), 1, 2)     # m = 3, n % m != 0
-    @example(300, 2.5, 0.4, (-5.0, 5.0), 1, 2)     # non-integer ratio
-    @example(300, 1.0, 0.0, (-5.0, 5.0), 1, 2)     # sigma = 0
-    @example(301, 3.0, 0.0, (-0.3, 0.25), 1, 2)
-    @example(5, 2.0**40, 0.4, (-5.0, 5.0), 1, 2)   # hold ratio far above n: one draw
-    def test_equals_gather(self, n, ratio, sigma, clip, seed, stream):
-        spec = NoiseSpec(sigma, self.SAMPLE_RATE / ratio, clip_low=clip[0],
-                         clip_high=clip[1], seed=seed)
+    @example(300, 1.0, 0.4, 1, 2)     # m = 1: the draws are the samples
+    @example(301, 3.0, 0.4, 1, 2)     # m = 3, n % m != 0
+    @example(300, 2.5, 0.4, 1, 2)     # non-integer ratio
+    @example(300, 1.0, 0.0, 1, 2)     # sigma = 0
+    @example(301, 3.0, 8.0, 1, 2)     # sigma = 8: the clip at +-CLIP_V bites
+    @example(5, 2.0**40, 0.4, 1, 2)   # hold ratio far above n: one draw
+    def test_equals_gather(self, n, ratio, sigma, seed, stream):
+        spec = NoiseSpec(sigma, self.SAMPLE_RATE / ratio, seed=seed)
         duration = n / self.SAMPLE_RATE
         got = generate_noise(spec, self.SAMPLE_RATE, duration, stream=stream).samples
         want = gather_noise(spec, self.SAMPLE_RATE, duration, stream)

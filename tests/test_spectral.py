@@ -114,6 +114,9 @@ class TestSecondPeak:
         assert second_peak_frequency(spec) is None
         spec2 = self._with_tone(4, -30.0)
         assert second_peak_frequency(spec2, dc_guard_hz=10.0) is None
+        for guard in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                second_peak_frequency(spec2, dc_guard_hz=guard)
 
     def test_flat_spectrum_has_no_peak(self):
         assert second_peak_frequency(_flat_spectrum(-80.0)) is None

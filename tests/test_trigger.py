@@ -61,8 +61,9 @@ class TestThresholdLaws:
         assert lo == pytest.approx(-0.2)
 
     def test_divider_validation(self):
-        with pytest.raises(ValueError):
-            thresholds_from_divider(0.0, 0.045)
+        for v_sat in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                thresholds_from_divider(v_sat, 0.045)
         with pytest.raises(ValueError):
             thresholds_from_divider(1.0, 0.0)
         with pytest.raises(ValueError):
@@ -74,8 +75,9 @@ class TestThresholdLaws:
         assert v_th_from_vdc(4.0) == 0.199
 
     def test_supply_calibration_validation(self):
-        with pytest.raises(ValueError):
-            v_th_from_vdc(0.0)
+        for v_dc in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                v_th_from_vdc(v_dc)
         with pytest.raises(ValueError):
             calibrated_config(0.05)  # v_th would be negative
 
@@ -231,6 +233,9 @@ class TestHysteresis:
             hysteresis_sweep(cfg, -0.2, 0.2, points=1)
         with pytest.raises(ValueError):
             hysteresis_sweep(cfg, -0.2, 0.2, points=MAX_SAMPLES + 1)
+        for v_max in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                hysteresis_sweep(cfg, -0.2, v_max, points=100)
 
     def test_loop_is_dataclass(self):
         assert HysteresisLoop.__dataclass_fields__.keys() >= {
