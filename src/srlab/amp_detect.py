@@ -303,14 +303,11 @@ def fit_sigmoid(
     above = np.nonzero(y >= 0.5 * plateau_T)[0]
     c0 = float(x[above[0]]) if above.size else float(x[x.size // 2])
 
-    if float_plateau:
-        def residuals(p):
-            return p[2] / (1.0 + np.exp(-p[0] * (x - p[1]))) - y
-        p0 = [a0, c0, plateau_T]
-    else:
-        def residuals(p):
-            return plateau_T / (1.0 + np.exp(-p[0] * (x - p[1]))) - y
-        p0 = [a0, c0]
+    def residuals(p):
+        plateau = p[2] if float_plateau else plateau_T
+        return plateau / (1.0 + np.exp(-p[0] * (x - p[1]))) - y
+
+    p0 = [a0, c0, plateau_T] if float_plateau else [a0, c0]
 
     res = least_squares(
         residuals, p0, xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=200
@@ -375,6 +372,8 @@ def calibrate_and_estimate_decay(
         raise ValueError(
             f"need >= 3 calibration decay values, got {len(curves_by_b)}"
         )
+    if not all(math.isfinite(b) for b in curves_by_b):
+        raise ValueError(f"calibration decays must be finite, got {list(curves_by_b)}")
     bs = np.asarray(sorted(float(b) for b in curves_by_b), dtype=np.float64)
     fits = {float(b): fit_sigmoid(c, plateau_T=plateau_T) for b, c in curves_by_b.items()}
     observed = fit_sigmoid(observed_curve, plateau_T=plateau_T)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -89,7 +88,7 @@ _ACTIONS = {"flag": "store_true", "strlist": "append"}
 _SIM = {
     "sample_rate": ("float", 20000.0, "sampling rate, Hz"),
     "noise_rate": ("maybe_float", None, "noise draw rate, Hz (default: sample rate)"),
-    "seed": ("int", 0, "base noise seed (env SRLAB_SEED replaces this default)"),
+    "seed": ("int", 0, "base noise seed"),
 }
 
 _TRIG = {
@@ -246,10 +245,6 @@ def resolve_params(args, table: dict, config: dict) -> dict:
         if value is None and kind != "maybe_float":
             raise ValueError(f"--{name.replace('_', '-')} is required")
         out[name] = value
-    if "seed" in table and getattr(args, "seed", None) is None and "seed" not in config:
-        env = os.environ.get("SRLAB_SEED")
-        if env is not None:
-            out["seed"] = int(env)
     return out
 
 
@@ -263,9 +258,9 @@ def build_trigger(p: dict):
 
 
 def _signal(p: dict):
-    if p["decay"] > 0.0:
-        return DampedSine(p["amplitude"], p["decay"], p["frequency"])
-    return Sine(p["amplitude"], p["frequency"])
+    if p["decay"] == 0.0:
+        return Sine(p["amplitude"], p["frequency"])
+    return DampedSine(p["amplitude"], p["decay"], p["frequency"])
 
 
 def _noise(p: dict) -> NoiseSpec:
@@ -303,11 +298,8 @@ def run_snr_sweep(p: dict, out: Path, prefix: str) -> str:
 
 
 def run_detect_freq(p: dict, out: Path, prefix: str) -> str:
-    damped = _signal(p)
-    if not isinstance(damped, DampedSine):
-        raise ValueError("detect-freq needs --decay > 0 (a damped input)")
     report = detect_frequency(
-        build_trigger(p), damped, _noise(p), p["sample_rate"], p["duration"],
+        build_trigger(p), _signal(p), _noise(p), p["sample_rate"], p["duration"],
         dc_guard_hz=p["dc_guard"],
     )
     write_freq_table_csv(out / f"{prefix}.csv", [report])
@@ -317,6 +309,8 @@ def run_detect_freq(p: dict, out: Path, prefix: str) -> str:
 
 
 def run_freq_table(p: dict, out: Path, prefix: str) -> str:
+    if p["noise_rate"] is not None:
+        raise ValueError("freq-table draws noise at the sample rate; drop --noise-rate")
     setup = DetectionSetup(
         amplitude=p["amplitude"], decay=p["decay"], sigma=p["sigma"],
         sample_rate=p["sample_rate"], duration=p["duration"], seed_base=p["seed"],
@@ -333,11 +327,8 @@ def run_freq_table(p: dict, out: Path, prefix: str) -> str:
 
 
 def run_optimal_sigma(p: dict, out: Path, prefix: str) -> str:
-    damped = _signal(p)
-    if not isinstance(damped, DampedSine):
-        raise ValueError("optimal-sigma needs --decay > 0 (a damped input)")
     sigma_star, curve = optimal_sigma_search(
-        build_trigger(p), damped, parse_grid(p["sigma_grid"]), p["repeats"],
+        build_trigger(p), _signal(p), parse_grid(p["sigma_grid"]), p["repeats"],
         p["sample_rate"], p["duration"], p["seed"], noise_rate=p["noise_rate"],
     )
     write_sweep_csv(out / f"{prefix}.csv", curve)
@@ -483,6 +474,8 @@ def _dispatch(args) -> str:
     stored = config.get(key)
     if stored not in (None, name):
         raise ValueError(f"config file is for {key} {stored!r}, not {name!r}")
+    if getattr(args, "seed", None) is not None and "seed" not in table:
+        raise ValueError(f"{name} draws no noise, so it takes no --seed")
     params = resolve_params(args, table, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -59,13 +59,10 @@ def generate_noise(
     n = n_samples_for(sample_rate, duration)
     ratio = sample_rate / spec.noise_rate
     m = round(ratio)
-    whole = m >= 1 and abs(ratio - m) < 1e-9
-    if whole and m == 1:
-        idx = None  # one draw per sample: the draws are the samples
-    elif whole:
-        idx = np.arange(n) // m
-    else:
-        idx = (np.arange(n) / ratio).astype(np.int64)
+    if m >= 1 and abs(ratio - m) < 1e-9:
+        ratio = m  # snap a near-whole ratio: draws then repeat exactly m times
+    # at ratio 1 the draws are the samples
+    idx = None if ratio == 1 else (np.arange(n) / ratio).astype(np.int64)
     n_draws = n if idx is None else int(idx[-1]) + 1
     rng = noise_stream(spec.seed, stream)
     # normal(0, sigma), not sigma * standard_normal(): at sigma = 0 the

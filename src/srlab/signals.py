@@ -46,19 +46,16 @@ class Trace:
 
 @dataclass(frozen=True)
 class Sine:
-    """amplitude * sin(2*pi*frequency*t + phase)"""
+    """amplitude * sin(2*pi*frequency*t)"""
 
     amplitude: float
     frequency: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if not 0.0 < self.frequency < math.inf:
             raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def generate(spec: SignalSpec, sample_rate: float, duration: float) -> Trace:
     dt = 1.0 / sample_rate
     t = dt * np.arange(n)
     if isinstance(spec, Sine):
-        samples = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t + spec.phase)
+        samples = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
     elif isinstance(spec, DampedSine):
         samples = (
             spec.amplitude

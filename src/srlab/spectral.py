@@ -90,8 +90,8 @@ def second_peak_frequency(
     """
     if dc_guard_hz is None:
         dc_guard_hz = 2.0 * spectrum.df
-    elif not math.isfinite(dc_guard_hz):
-        raise ValueError(f"dc_guard_hz must be finite, got {dc_guard_hz}")
+    elif not 0.0 <= dc_guard_hz < math.inf:
+        raise ValueError(f"dc_guard_hz must be finite and >= 0, got {dc_guard_hz}")
     mags = spectrum.mag_db
     freqs = spectrum.freqs()
     candidates = np.zeros(mags.size, dtype=bool)

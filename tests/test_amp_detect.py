@@ -365,3 +365,10 @@ class TestDecayEstimation:
         cal = self._calibration(bs=(1.0, 9.0))
         with pytest.raises(ValueError):
             calibrate_and_estimate_decay(cal, self._observed(5.0))
+
+    def test_non_finite_decay_label_refused(self):
+        for label in (float("nan"), float("inf")):
+            cal = self._calibration(bs=(1.0, 3.0, 5.0))
+            cal[label] = cal.pop(5.0)
+            with pytest.raises(ValueError, match="finite"):
+                calibrate_and_estimate_decay(cal, self._observed(3.0))

@@ -67,16 +67,6 @@ class TestResolveParams:
         with pytest.raises(ValueError):
             resolve_params(self._args(), self.TABLE, {})
 
-    def test_env_seed_fallback(self, monkeypatch):
-        monkeypatch.setenv("SRLAB_SEED", "77")
-        got = resolve_params(self._args(label="x"), self.TABLE, {})
-        assert got["seed"] == 77
-        # an explicit flag or config value beats the environment
-        got = resolve_params(self._args(label="x", seed=3), self.TABLE, {})
-        assert got["seed"] == 3
-        got = resolve_params(self._args(label="x"), self.TABLE, {"seed": "9"})
-        assert got["seed"] == 9
-
 
 class TestExitCodes:
     def test_unknown_law_is_config_error(self, tmp_path):
@@ -135,12 +125,16 @@ class TestExitCodes:
             assert main([*argv, "--out-dir", str(tmp_path)]) == 2
 
     def test_bad_calibration_entry(self, tmp_path):
-        curve = _zero_curve_csv(tmp_path / "c.csv")
-        rc = main(
-            ["estimate-decay", "--calibration", "no-equals-sign",
-             "--observed", str(curve), "--out-dir", str(tmp_path)]
-        )
-        assert rc == 2
+        curve = str(_zero_curve_csv(tmp_path / "c.csv"))
+        cal = [a for b in (1, 3) for a in ("--calibration", f"{b}={curve}")]
+        # a NaN label never equals itself as a dict key: it must be refused
+        # before the fits are looked up by label
+        for entries in (["--calibration", "no-equals-sign"],
+                        [*cal, "--calibration", f"nan={curve}"]):
+            rc = main(["estimate-decay", *entries, "--observed", curve,
+                       "--out-dir", str(tmp_path)])
+            assert rc == 2
+        assert not list(tmp_path.glob("estimate_decay*"))
 
     SHORT = ["--duration", "0.05"]
     ONE_CELL = ["--frequencies", "500", "--repeats", "1", *SHORT]
@@ -154,6 +148,16 @@ class TestExitCodes:
         ["bank", "--min-rate", "nan", "--votes", "1", *SHORT],
         ["bank", "--min-rate", "inf", "--votes", "1", *SHORT],
         ["hysteresis", "--v-max", "inf"],
+        ["reproduce", "fig6", "--seed", "5"],
+        ["reproduce", "fig8", "--seed", "5"],
+        ["detect-freq", "--dc-guard", "-5", *SHORT],
+        ["transitions", "--decay", "-1", *SHORT],
+        ["transitions", "--decay", "nan", *SHORT],
+        ["snr-sweep", "--decay", "-1", "--sigma-grid", "0.05", "--repeats", "1", *SHORT],
+        ["snr-sweep", "--decay", "nan", "--sigma-grid", "0.05", "--repeats", "1", *SHORT],
+        ["bank", "--decay", "-1", "--votes", "1", *SHORT],
+        ["bank", "--decay", "nan", "--votes", "1", *SHORT],
+        ["freq-table", "--noise-rate", "5000", *ONE_CELL],
     ], ids=lambda argv: "_".join(argv[:3]))
     def test_silent_bad_input_is_config_error(self, tmp_path, argv):
         assert main([*argv, "--out-dir", str(tmp_path)]) == 2
@@ -209,22 +213,14 @@ class TestArtifacts:
         assert rc == 0
         assert (nested / "hysteresis.csv").exists()
 
-    def test_seed_env_fallback_lands_in_manifest(self, tmp_path, monkeypatch):
+    def test_environment_does_not_change_outputs(self, tmp_path, monkeypatch):
+        # a run depends only on its flags, config and defaults
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["detect-freq", "--duration", "0.1", "--out-dir", str(a)]) == 0
         monkeypatch.setenv("SRLAB_SEED", "55")
-        rc = main(
-            ["detect-freq", "--duration", "0.1", "--out-dir", str(tmp_path)]
-        )
-        assert rc == 0
-        assert read_manifest(tmp_path / "detect_freq_manifest.ini")["seed"] == "55"
-
-    def test_explicit_seed_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SRLAB_SEED", "55")
-        rc = main(
-            ["detect-freq", "--duration", "0.1", "--seed", "3",
-             "--out-dir", str(tmp_path)]
-        )
-        assert rc == 0
-        assert read_manifest(tmp_path / "detect_freq_manifest.ini")["seed"] == "3"
+        assert main(["detect-freq", "--duration", "0.1", "--out-dir", str(b)]) == 0
+        for name in ("detect_freq.csv", "detect_freq_manifest.ini"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 SWEEP_ARGS = [
@@ -247,14 +243,6 @@ class TestReplay:
         assert main(["snr-sweep", "--config", str(manifest), "--out-dir", str(c)]) == 0
         assert (a / "snr_sweep.csv").read_bytes() == (c / "snr_sweep.csv").read_bytes()
         assert manifest.read_bytes() == (c / "snr_sweep_manifest.ini").read_bytes()
-
-    def test_replay_ignores_env_seed(self, tmp_path, monkeypatch):
-        a, c = tmp_path / "a", tmp_path / "c"
-        assert main(SWEEP_ARGS + ["--seed", "4", "--out-dir", str(a)]) == 0
-        monkeypatch.setenv("SRLAB_SEED", "99")
-        manifest = a / "snr_sweep_manifest.ini"
-        assert main(["snr-sweep", "--config", str(manifest), "--out-dir", str(c)]) == 0
-        assert read_manifest(c / "snr_sweep_manifest.ini")["seed"] == "4"
 
     def test_flag_and_strlist_replay_is_byte_identical(self, tmp_path):
         # the flag and strlist kinds, which no other replay reads from a config

@@ -178,6 +178,7 @@ class TestNoiseHold:
     @example(300, 1.0, 0.4, 1, 2)     # m = 1: the draws are the samples
     @example(301, 3.0, 0.4, 1, 2)     # m = 3, n % m != 0
     @example(300, 2.5, 0.4, 1, 2)     # non-integer ratio
+    @example(301, 3.0000000000000004, 0.4, 1, 2)  # near-whole ratio snaps to m = 3
     @example(300, 1.0, 0.0, 1, 2)     # sigma = 0
     @example(301, 3.0, 8.0, 1, 2)     # sigma = 8: the clip at +-CLIP_V bites
     @example(5, 2.0**40, 0.4, 1, 2)   # hold ratio far above n: one draw

@@ -47,8 +47,6 @@ class TestSpecs:
             Sine(amplitude=float("nan"), frequency=10.0)
         with pytest.raises(ValueError):
             Sine(amplitude=1.0, frequency=float("inf"))
-        with pytest.raises(ValueError):
-            Sine(amplitude=1.0, frequency=10.0, phase=float("nan"))
 
     def test_damped_validation(self):
         with pytest.raises(ValueError):
@@ -104,10 +102,6 @@ class TestGenerate:
         t = tr.times()
         np.testing.assert_allclose(tr.samples, 2.0 * np.sin(2.0 * np.pi * 50.0 * t),
                                    atol=1e-12)
-
-    def test_sine_phase(self):
-        tr = generate(Sine(amplitude=1.0, frequency=50.0, phase=np.pi / 2), 10000.0, 0.01)
-        assert tr.samples[0] == pytest.approx(1.0)
 
     def test_damped_is_sine_times_envelope(self):
         spec = DampedSine(amplitude=0.1, decay=5.0, frequency=1000.0)

@@ -114,7 +114,7 @@ class TestSecondPeak:
         assert second_peak_frequency(spec) is None
         spec2 = self._with_tone(4, -30.0)
         assert second_peak_frequency(spec2, dc_guard_hz=10.0) is None
-        for guard in (float("nan"), float("inf")):
+        for guard in (float("nan"), float("inf"), -5.0):
             with pytest.raises(ValueError):
                 second_peak_frequency(spec2, dc_guard_hz=guard)
 
