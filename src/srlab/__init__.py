@@ -19,7 +19,7 @@ csvio       CSV writers/readers for every artifact the CLI emits
 cli         batch command-line interface
 """
 
-from srlab.signals import Dc, DampedSine, Ramp, Sine, Trace, envelope, generate
+from srlab.signals import DampedSine, Sine, Trace, envelope, generate
 from srlab.noise import NoiseSpec, generate_noise, noise_stream
 from srlab.trigger import (
     HysteresisLoop,
@@ -64,7 +64,6 @@ from srlab.amp_detect import (
     fit_sigmoid,
     last_transition_time,
     mean_t0_monte_carlo,
-    phi,
     t0_density_grid,
     t0_sigma_curve,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "AmbiguousResonancePattern",
     "BankConfig",
     "BankReport",
-    "Dc",
     "DampedSine",
     "DecayEstimate",
     "DetectionSetup",
@@ -99,7 +97,6 @@ __all__ = [
     "FreqErrorSummary",
     "HysteresisLoop",
     "NoiseSpec",
-    "Ramp",
     "SigmoidFit",
     "Sine",
     "Spectrum",
@@ -131,7 +128,6 @@ __all__ = [
     "noise_stream",
     "optimal_sigma_search",
     "periodogram",
-    "phi",
     "resonance_rate_for",
     "run",
     "run_bank",

@@ -42,22 +42,6 @@ class FitError(RuntimeError):
     """Raised when a curve fit fails to converge or produces garbage."""
 
 
-def phi(x):
-    """Standard normal cumulative distribution function.
-
-    Accepts scalars or arrays; scalar in, float out.  Accurate to well
-    below 1e-10 absolute error over the full double range.
-    """
-    if np.isscalar(x):
-        if not math.isfinite(x):
-            raise ValueError(f"phi argument must be finite, got {x}")
-        return float(ndtr(x))
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("phi arguments must be finite")
-    return ndtr(x)
-
-
 @dataclass(frozen=True)
 class ThresholdGap:
     """Threshold-minus-envelope values v(t_k) on a uniform time grid.

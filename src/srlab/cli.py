@@ -98,104 +98,6 @@ _TRIG = {
     "law": ("str", "divider", "threshold law: divider or calibrated"),
 }
 
-TABLES: dict[str, dict] = {
-    "hysteresis": {
-        **_TRIG,
-        "v_min": ("float", -0.2, "sweep start, V"),
-        "v_max": ("float", 0.2, "sweep end, V"),
-        "points": ("int", 801, "sweep points per branch"),
-    },
-    "transitions": {
-        **_TRIG,
-        "amplitude": ("float", 0.1, "signal amplitude, V"),
-        "frequency": ("float", 100.0, "signal frequency, Hz"),
-        "decay": ("float", 0.0, "decay constant, 1/s (0 = undamped)"),
-        "sigma": ("float", 0.05, "noise SD, V"),
-        "duration": ("float", 0.4, "acquisition time, s"),
-        **_SIM,
-    },
-    "snr-sweep": {
-        **_TRIG,
-        "amplitude": ("float", 0.05, "signal amplitude, V"),
-        "frequency": ("float", 500.0, "signal frequency, Hz"),
-        "decay": ("float", 0.0, "decay constant, 1/s (0 = undamped)"),
-        "sigma_grid": ("str", "0.01:0.2:0.005", "noise SD grid start:stop:step or list"),
-        "repeats": ("int", 10, "repeats per noise level"),
-        "duration": ("float", 0.4, "acquisition time, s"),
-        **_SIM,
-    },
-    "detect-freq": {
-        **_TRIG,
-        "amplitude": ("float", 0.1, "signal amplitude, V"),
-        "decay": ("float", 5.0, "decay constant, 1/s"),
-        "frequency": ("float", 500.0, "true signal frequency, Hz (scoring only)"),
-        "sigma": ("float", 0.01, "noise SD, V"),
-        "dc_guard": ("maybe_float", None, "ignore spectrum below this, Hz"),
-        "duration": ("float", 0.4, "acquisition time, s"),
-        **_SIM,
-    },
-    "freq-table": {
-        **_TRIG,
-        "amplitude": ("float", 0.1, "signal amplitude, V"),
-        "decay": ("float", 5.0, "decay constant, 1/s"),
-        "sigma": ("float", 0.01, "noise SD, V"),
-        "frequencies": ("str", "10,50,100,500,1000,2000", "frequency list, Hz"),
-        "repeats": ("int", 10, "runs per frequency"),
-        "dc_guard": ("maybe_float", None, "ignore spectrum below this, Hz"),
-        "duration": ("float", 0.4, "acquisition time, s"),
-        **_SIM,
-    },
-    "optimal-sigma": {
-        **_TRIG,
-        "amplitude": ("float", 0.1, "signal amplitude, V"),
-        "decay": ("float", 5.0, "decay constant, 1/s"),
-        "frequency": ("float", 50.0, "hypothesized frequency, Hz"),
-        "sigma_grid": ("str", "0.01:0.05:0.01", "noise SD grid"),
-        "repeats": ("int", 10, "repeats per noise level"),
-        "duration": ("float", 0.4, "acquisition time, s"),
-        **_SIM,
-    },
-    "t0-curve": {
-        **_TRIG,
-        "vdc": ("float", 4.0, "supply voltage, V"),
-        "law": ("str", "calibrated", "threshold law: divider or calibrated"),
-        "amplitude": ("float", 0.1, "signal amplitude, V"),
-        "decay": ("float", 5.0, "decay constant, 1/s"),
-        "frequency": ("float", 1000.0, "signal frequency, Hz"),
-        "sigma_grid": ("str", "0:0.5:0.01", "noise SD grid"),
-        "runs": ("int", 50, "runs per noise level"),
-        "duration": ("float", 1.5, "acquisition time, s"),
-        **_SIM,
-    },
-    "fit-sigmoid": {
-        "input": ("str", None, "t0-curve CSV to fit (required)"),
-        "plateau": ("float", 1.5, "sigmoid plateau, s"),
-        "float_plateau": ("flag", False, "fit the plateau instead of fixing it"),
-        "decay": ("maybe_float", None, "decay label for the output row"),
-    },
-    "estimate-decay": {
-        "calibration": ("strlist", None, "calibration entry b=curve.csv (repeat >= 3x)"),
-        "observed": ("str", None, "observed t0-curve CSV (required)"),
-        "plateau": ("float", 1.5, "sigmoid plateau, s"),
-    },
-    "bank": {
-        "mode": ("str", "threshold", "sweep axis: threshold or sigma"),
-        "amplitude": ("float", 0.01, "signal amplitude, V"),
-        "frequency": ("float", 500.0, "signal frequency, Hz"),
-        "decay": ("float", 0.0, "decay constant, 1/s (0 = undamped)"),
-        "thresholds": ("str", "0.001,0.002,0.004,0.008,0.016,0.032,0.064",
-                       "threshold grid (threshold mode)"),
-        "sigma": ("float", 0.002, "common noise SD (threshold mode), V"),
-        "sigma_grid": ("str", "0.004,0.008,0.012,0.016,0.024",
-                       "noise SD grid (sigma mode)"),
-        "threshold": ("float", 0.02, "common threshold (sigma mode), V"),
-        "min_rate": ("maybe_float", None,
-                     "resonance transition rate, Hz (default: 1x frequency)"),
-        "votes": ("int", 20, "seeds in the majority vote"),
-        "duration": ("float", 0.4, "acquisition time, s"),
-        **_SIM,
-    },
-}
 
 def parse_grid(text: str) -> np.ndarray:
     """Grid syntax: 'start:stop:step' (inclusive of both ends when step
@@ -418,29 +320,124 @@ def run_threshold_law(p: dict, out: Path, prefix: str) -> str:
     return f"threshold law over {grid.size} supply settings"
 
 
-RUNNERS = {
-    "hysteresis": run_hysteresis,
-    "transitions": run_transitions,
-    "snr-sweep": run_snr_sweep,
-    "detect-freq": run_detect_freq,
-    "freq-table": run_freq_table,
-    "optimal-sigma": run_optimal_sigma,
-    "t0-curve": run_t0_curve,
-    "fit-sigmoid": run_fit_sigmoid,
-    "estimate-decay": run_estimate_decay,
-    "bank": run_bank_cmd,
+# Subcommand -> (parameter table, runner).
+COMMANDS = {
+    "hysteresis": ({
+        **_TRIG,
+        "v_min": ("float", -0.2, "sweep start, V"),
+        "v_max": ("float", 0.2, "sweep end, V"),
+        "points": ("int", 801, "sweep points per branch"),
+    }, run_hysteresis),
+    "transitions": ({
+        **_TRIG,
+        "amplitude": ("float", 0.1, "signal amplitude, V"),
+        "frequency": ("float", 100.0, "signal frequency, Hz"),
+        "decay": ("float", 0.0, "decay constant, 1/s (0 = undamped)"),
+        "sigma": ("float", 0.05, "noise SD, V"),
+        "duration": ("float", 0.4, "acquisition time, s"),
+        **_SIM,
+    }, run_transitions),
+    "snr-sweep": ({
+        **_TRIG,
+        "amplitude": ("float", 0.05, "signal amplitude, V"),
+        "frequency": ("float", 500.0, "signal frequency, Hz"),
+        "decay": ("float", 0.0, "decay constant, 1/s (0 = undamped)"),
+        "sigma_grid": ("str", "0.01:0.2:0.005", "noise SD grid start:stop:step or list"),
+        "repeats": ("int", 10, "repeats per noise level"),
+        "duration": ("float", 0.4, "acquisition time, s"),
+        **_SIM,
+    }, run_snr_sweep),
+    "detect-freq": ({
+        **_TRIG,
+        "amplitude": ("float", 0.1, "signal amplitude, V"),
+        "decay": ("float", 5.0, "decay constant, 1/s"),
+        "frequency": ("float", 500.0, "true signal frequency, Hz (scoring only)"),
+        "sigma": ("float", 0.01, "noise SD, V"),
+        "dc_guard": ("maybe_float", None, "ignore spectrum below this, Hz"),
+        "duration": ("float", 0.4, "acquisition time, s"),
+        **_SIM,
+    }, run_detect_freq),
+    "freq-table": ({
+        **_TRIG,
+        "amplitude": ("float", 0.1, "signal amplitude, V"),
+        "decay": ("float", 5.0, "decay constant, 1/s"),
+        "sigma": ("float", 0.01, "noise SD, V"),
+        "frequencies": ("str", "10,50,100,500,1000,2000", "frequency list, Hz"),
+        "repeats": ("int", 10, "runs per frequency"),
+        "dc_guard": ("maybe_float", None, "ignore spectrum below this, Hz"),
+        "duration": ("float", 0.4, "acquisition time, s"),
+        **_SIM,
+    }, run_freq_table),
+    "optimal-sigma": ({
+        **_TRIG,
+        "amplitude": ("float", 0.1, "signal amplitude, V"),
+        "decay": ("float", 5.0, "decay constant, 1/s"),
+        "frequency": ("float", 50.0, "hypothesized frequency, Hz"),
+        "sigma_grid": ("str", "0.01:0.05:0.01", "noise SD grid"),
+        "repeats": ("int", 10, "repeats per noise level"),
+        "duration": ("float", 0.4, "acquisition time, s"),
+        **_SIM,
+    }, run_optimal_sigma),
+    "t0-curve": ({
+        **_TRIG,
+        "vdc": ("float", 4.0, "supply voltage, V"),
+        "law": ("str", "calibrated", "threshold law: divider or calibrated"),
+        "amplitude": ("float", 0.1, "signal amplitude, V"),
+        "decay": ("float", 5.0, "decay constant, 1/s"),
+        "frequency": ("float", 1000.0, "signal frequency, Hz"),
+        "sigma_grid": ("str", "0:0.5:0.01", "noise SD grid"),
+        "runs": ("int", 50, "runs per noise level"),
+        "duration": ("float", 1.5, "acquisition time, s"),
+        **_SIM,
+    }, run_t0_curve),
+    "fit-sigmoid": ({
+        "input": ("str", None, "t0-curve CSV to fit (required)"),
+        "plateau": ("float", 1.5, "sigmoid plateau, s"),
+        "float_plateau": ("flag", False, "fit the plateau instead of fixing it"),
+        "decay": ("maybe_float", None, "decay label for the output row"),
+    }, run_fit_sigmoid),
+    "estimate-decay": ({
+        "calibration": ("strlist", None, "calibration entry b=curve.csv (repeat >= 3x)"),
+        "observed": ("str", None, "observed t0-curve CSV (required)"),
+        "plateau": ("float", 1.5, "sigmoid plateau, s"),
+    }, run_estimate_decay),
+    "bank": ({
+        "mode": ("str", "threshold", "sweep axis: threshold or sigma"),
+        "amplitude": ("float", 0.01, "signal amplitude, V"),
+        "frequency": ("float", 500.0, "signal frequency, Hz"),
+        "decay": ("float", 0.0, "decay constant, 1/s (0 = undamped)"),
+        "thresholds": ("str", "0.001,0.002,0.004,0.008,0.016,0.032,0.064",
+                       "threshold grid (threshold mode)"),
+        "sigma": ("float", 0.002, "common noise SD (threshold mode), V"),
+        "sigma_grid": ("str", "0.004,0.008,0.012,0.016,0.024",
+                       "noise SD grid (sigma mode)"),
+        "threshold": ("float", 0.02, "common threshold (sigma mode), V"),
+        "min_rate": ("maybe_float", None,
+                     "resonance transition rate, Hz (default: 1x frequency)"),
+        "votes": ("int", 20, "seeds in the majority vote"),
+        "duration": ("float", 0.4, "acquisition time, s"),
+        **_SIM,
+    }, run_bank_cmd),
 }
 
 # Preset -> (table, runner); fig8 alone runs no subcommand's defaults.
 PRESETS = {
-    "fig4": (TABLES["transitions"], run_transitions),
-    "fig5": (TABLES["snr-sweep"], run_snr_sweep),
-    "fig6": (TABLES["hysteresis"], run_hysteresis),
+    "fig4": COMMANDS["transitions"],
+    "fig5": COMMANDS["snr-sweep"],
+    "fig6": COMMANDS["hysteresis"],
     "fig8": ({"vdc_grid": ("str", "1:4:0.25", "supply voltage grid, V")},
              run_threshold_law),
-    "table1": (TABLES["freq-table"], run_freq_table),
-    "fig12": (TABLES["optimal-sigma"], run_optimal_sigma),
-    "fig13": (TABLES["t0-curve"], run_t0_curve),
+    "table1": COMMANDS["freq-table"],
+    "fig12": COMMANDS["optimal-sigma"],
+    "fig13": COMMANDS["t0-curve"],
+}
+
+# (setting, value) -> parameters that value never reads; giving one of them
+# as a flag is refused rather than recorded in a manifest that ignores it.
+_UNREAD = {
+    ("law", "calibrated"): ("ratio",),
+    ("mode", "threshold"): ("sigma_grid", "threshold"),
+    ("mode", "sigma"): ("thresholds", "sigma"),
 }
 
 
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=srlab.__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, table in TABLES.items():
+    for name, (table, _runner) in COMMANDS.items():
         add_table_arguments(sub.add_parser(name, help=f"run the {name} experiment"), table)
     rep = sub.add_parser("reproduce", help="run a canned experiment preset")
     rep.add_argument("preset", choices=sorted(PRESETS))
@@ -464,11 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> str:
     if args.command == "reproduce":
-        key, name = "preset", args.preset
-        table, runner = PRESETS[name]
+        key, name, registry = "preset", args.preset, PRESETS
     else:
-        key, name = "subcommand", args.command
-        table, runner = TABLES[name], RUNNERS[name]
+        key, name, registry = "subcommand", args.command, COMMANDS
+    table, runner = registry[name]
     prefix = name.replace("-", "_")
     config = read_manifest(args.config) if args.config else {}
     stored = config.get(key)
@@ -477,8 +473,12 @@ def _dispatch(args) -> str:
     if getattr(args, "seed", None) is not None and "seed" not in table:
         raise ValueError(f"{name} draws no noise, so it takes no --seed")
     params = resolve_params(args, table, config)
+    for (setting, value), unread in _UNREAD.items():
+        given = [n for n in unread if getattr(args, n, None) is not None]
+        if given and params.get(setting) == value:
+            flag = "--" + given[0].replace("_", "-")
+            raise ValueError(f"{setting} {value} never reads {flag}; drop it")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = runner(params, out, prefix)
     if prefix == "fig13":
         fit = fit_sigmoid(read_t0_curve_csv(out / "fig13.csv"), plateau_T=params["duration"])

@@ -45,11 +45,13 @@ def _cell(value) -> str:
 
 
 def write_rows(path, header, rows) -> None:
-    """Write one CSV file under the package-wide byte contract."""
+    """Write one CSV file under the package-wide byte contract, creating
+    its directory if needed."""
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -162,6 +164,7 @@ def write_manifest(path, params: dict) -> None:
     parser = configparser.ConfigParser()
     parser["run"] = {k: _cell(v) for k, v in params.items()}
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         parser.write(fh)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import DampedSine, SignalSpec, Sine, Trace, generate
+from srlab.signals import SignalSpec, Trace, generate
 from srlab.spectral import periodogram, snr_db
 from srlab.trigger import TriggerConfig, run
 
@@ -81,17 +81,6 @@ def sigma_grid(sigmas) -> np.ndarray:
     return sigmas
 
 
-def signal_frequency(spec: SignalSpec) -> float:
-    """Oscillation frequency of a periodic signal spec.
-
-    Raises ValueError for non-oscillatory specs (constant, ramp) — an SNR
-    sweep needs a frequency bin to read.
-    """
-    if isinstance(spec, (Sine, DampedSine)):
-        return spec.frequency
-    raise ValueError(f"signal spec {spec!r} has no oscillation frequency")
-
-
 def snr_sigma_sweep(
     trigger_config: TriggerConfig,
     signal_spec: SignalSpec,
@@ -112,8 +101,7 @@ def snr_sigma_sweep(
     sigmas = sigma_grid(sigmas)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    f_signal = signal_frequency(signal_spec)
-
+    f_signal = signal_spec.frequency
     signal = generate(signal_spec, sample_rate, duration)
     specs = [replace(noise_template, sigma=float(sigma)) for sigma in sigmas]
     cells = [(trigger_config, spec, i * repeats + r)
@@ -156,9 +144,7 @@ def capture_transitions(
     signal = generate(signal_spec, sample_rate, duration)
     noise = generate_noise(noise_spec, sample_rate, duration)
     combined = Trace(
-        start_time=signal.start_time,
-        dt=signal.dt,
-        samples=trigger_config.input_attenuation * (signal.samples + noise.samples),
+        signal.dt, trigger_config.input_attenuation * (signal.samples + noise.samples)
     )
     output = run(trigger_config, signal, noise)
     return signal, combined, output

@@ -77,7 +77,7 @@ def transition_spectrum(output: Trace) -> Spectrum:
     """Spectrum of the output's transition train (first difference of the
     level trace, first sample zero so the length is unchanged)."""
     diff = np.diff(output.samples, prepend=output.samples[0])
-    return periodogram(Trace(start_time=output.start_time, dt=output.dt, samples=diff))
+    return periodogram(Trace(dt=output.dt, samples=diff))
 
 
 def detect_frequency(

@@ -70,4 +70,4 @@ def generate_noise(
     draws = rng.normal(0.0, spec.sigma, size=n_draws)
     np.clip(draws, -CLIP_V, CLIP_V, out=draws)
     samples = draws if idx is None else draws[idx]
-    return Trace(start_time=0.0, dt=1.0 / sample_rate, samples=samples)
+    return Trace(dt=1.0 / sample_rate, samples=samples)

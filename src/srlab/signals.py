@@ -13,11 +13,10 @@ import numpy as np
 class Trace:
     """A uniformly sampled voltage record.
 
-    Sample i sits at t = start_time + i * dt (left-aligned grid: the final
-    sample lands one step short of start_time + n * dt).
+    Sample i sits at t = i * dt (left-aligned grid: the final sample lands
+    one step short of n * dt).
     """
 
-    start_time: float
     dt: float
     samples: np.ndarray
 
@@ -33,15 +32,11 @@ class Trace:
         return int(self.samples.size)
 
     @property
-    def duration(self) -> float:
-        return self.samples.size * self.dt
-
-    @property
     def sample_rate(self) -> float:
         return 1.0 / self.dt
 
     def times(self) -> np.ndarray:
-        return self.start_time + self.dt * np.arange(self.samples.size)
+        return self.dt * np.arange(self.samples.size)
 
 
 @dataclass(frozen=True)
@@ -75,30 +70,7 @@ class DampedSine:
             raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
 
 
-@dataclass(frozen=True)
-class Dc:
-    """Constant level."""
-
-    level: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.level):
-            raise ValueError(f"level must be finite, got {self.level}")
-
-
-@dataclass(frozen=True)
-class Ramp:
-    """Linear sweep from v_start at t=0 to v_end at t=duration."""
-
-    v_start: float
-    v_end: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.v_start) and math.isfinite(self.v_end)):
-            raise ValueError(f"ramp ends must be finite, got {self.v_start}, {self.v_end}")
-
-
-SignalSpec = Union[Sine, DampedSine, Dc, Ramp]
+SignalSpec = Union[Sine, DampedSine]
 
 
 # Largest grid any run may use: 2**25 = 33 554 432 samples, 256 MiB per
@@ -146,13 +118,9 @@ def generate(spec: SignalSpec, sample_rate: float, duration: float) -> Trace:
             * np.exp(-spec.decay * t)
             * np.sin(2.0 * math.pi * spec.frequency * t)
         )
-    elif isinstance(spec, Dc):
-        samples = np.full(n, float(spec.level))
-    elif isinstance(spec, Ramp):
-        samples = spec.v_start + (spec.v_end - spec.v_start) * (t / duration)
     else:
         raise ValueError(f"unsupported signal spec: {spec!r}")
-    return Trace(start_time=0.0, dt=dt, samples=samples)
+    return Trace(dt=dt, samples=samples)
 
 
 def envelope(spec: DampedSine, t):

@@ -177,7 +177,7 @@ def run(
         v_n, config.v_ut, config.v_lt, initial is TriggerState.HIGH
     )
     out = _rails(config, first_high, switches, v_n.size)
-    return Trace(start_time=signal.start_time, dt=signal.dt, samples=out)
+    return Trace(dt=signal.dt, samples=out)
 
 
 def transition_count(output: Trace) -> int:

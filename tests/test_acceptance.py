@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from srlab.amp_detect import (
     calibrate_and_estimate_decay,
     expected_t0_for_config,
     fit_sigmoid,
-    phi,
     t0_sigma_curve,
 )
 from srlab.bank import (
@@ -35,7 +35,7 @@ from srlab.freq_detect import (
     summarize_error_table,
 )
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import DampedSine, Dc, Ramp, Sine, Trace, generate
+from srlab.signals import DampedSine, Sine, Trace
 from srlab.spectral import periodogram
 from srlab.trigger import (
     TriggerState,
@@ -323,10 +323,10 @@ def test_criterion_09_property_suites(decay_curves, report):
 
     xs = np.linspace(-8.0, 8.0, 81)
     ref = np.array([float(mpmath.ncdf(mpmath.mpf(float(x)))) for x in xs])
-    checks["phi"] = (
-        phi(0.0) == 0.5
-        and bool(np.all(np.abs(phi(xs) + phi(-xs) - 1.0) < 1e-15))
-        and bool(np.max(np.abs(phi(xs) - ref)) < 1e-9)
+    checks["ndtr"] = (
+        ndtr(0.0) == 0.5
+        and bool(np.all(np.abs(ndtr(xs) + ndtr(-xs) - 1.0) < 1e-15))
+        and bool(np.max(np.abs(ndtr(xs) - ref)) < 1e-9)
     )
 
     # spectral energy conservation
@@ -337,12 +337,13 @@ def test_criterion_09_property_suites(decay_curves, report):
     checks["parseval"] = abs(spectral - time_energy) / time_energy < 1e-9
 
     # bistability: both states persist in the dead band; no chatter on a ramp
-    hold = generate(Dc(0.088), 10000.0, 0.1)
-    silence = Trace(0.0, hold.dt, np.zeros(hold.n_samples))
+    hold = Trace(1.0 / 10000.0, np.full(1000, 0.088))
+    silence = Trace(hold.dt, np.zeros(hold.n_samples))
     high = run(CFG1, hold, silence, initial=TriggerState.HIGH)
     low = run(CFG1, hold, silence, initial=TriggerState.LOW)
-    ramp = generate(Ramp(-0.2, 0.2), 20000.0, 1.0)
-    ramp_out = run(CFG1, ramp, Trace(0.0, ramp.dt, np.zeros(ramp.n_samples)))
+    dt = 1.0 / 20000.0
+    ramp = Trace(dt, -0.2 + 0.4 * (dt * np.arange(20000)))
+    ramp_out = run(CFG1, ramp, Trace(ramp.dt, np.zeros(ramp.n_samples)))
     checks["trigger"] = (
         bool(np.all(high.samples == 1.0))
         and bool(np.all(low.samples == -1.0))

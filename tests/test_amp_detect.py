@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from srlab.amp_detect import (
     DecayEstimate,
@@ -16,7 +17,6 @@ from srlab.amp_detect import (
     fit_sigmoid,
     last_transition_time,
     mean_t0_monte_carlo,
-    phi,
     t0_density_grid,
     t0_sigma_curve,
 )
@@ -36,38 +36,6 @@ def _stats_from_xy(x, y):
 
 def _sigmoid(x, a, c, plateau=1.5):
     return plateau / (1.0 + np.exp(-a * (np.asarray(x) - c)))
-
-
-class TestPhi:
-    def test_center_and_symmetry(self):
-        assert phi(0.0) == 0.5
-        xs = np.linspace(-8.0, 8.0, 161)
-        np.testing.assert_allclose(phi(xs) + phi(-xs), 1.0, atol=1e-15)
-
-    def test_known_quantile(self):
-        assert phi(1.959964) == pytest.approx(0.975, abs=1e-6)
-
-    def test_monotone(self):
-        xs = np.linspace(-6.0, 6.0, 200)
-        assert np.all(np.diff(phi(xs)) > 0.0)
-
-    def test_scalar_in_float_out(self):
-        out = phi(1.0)
-        assert isinstance(out, float)
-        arr = phi(np.array([0.0, 1.0]))
-        assert isinstance(arr, np.ndarray)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            phi(float("nan"))
-        with pytest.raises(ValueError):
-            phi(np.array([0.0, np.inf]))
-
-    def test_against_arbitrary_precision_reference(self):
-        mpmath = pytest.importorskip("mpmath")
-        xs = np.linspace(-8.0, 8.0, 81)
-        ref = np.array([float(mpmath.ncdf(mpmath.mpf(float(x)))) for x in xs])
-        np.testing.assert_allclose(phi(xs), ref, atol=1e-9, rtol=0.0)
 
 
 class TestThresholdGap:
@@ -111,9 +79,9 @@ class TestDensityGrid:
             ln_hold = 0.0
             for j in range(k, n - 1):
                 ln_hold += 0.5 * (
-                    math.log(phi(values[j] / sigma)) + math.log(phi(values[j + 1] / sigma))
+                    math.log(ndtr(values[j] / sigma)) + math.log(ndtr(values[j + 1] / sigma))
                 )
-            brute[k] = phi(-values[k] / sigma) * math.exp(ln_hold)
+            brute[k] = ndtr(-values[k] / sigma) * math.exp(ln_hold)
         np.testing.assert_allclose(dens * dt, brute, rtol=1e-10)
 
     def test_zero_gap_geometric_closed_form(self):
@@ -173,19 +141,19 @@ class TestExpectedT0:
 
 class TestLastTransition:
     def test_no_switch_is_zero_sentinel(self):
-        tr = Trace(0.0, 1e-4, np.ones(100))
+        tr = Trace(1e-4, np.ones(100))
         assert last_transition_time(tr) == 0.0
 
     def test_time_of_final_flip(self):
         samples = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-        tr = Trace(0.0, 1e-3, samples)
+        tr = Trace(1e-3, samples)
         # flips after samples 0 and 2; the last new level appears at index 3
         assert last_transition_time(tr) == pytest.approx(3e-3)
 
     def test_units_follow_dt(self):
         samples = np.array([1.0, 1.0, -1.0, -1.0])
-        assert last_transition_time(Trace(0.0, 0.5, samples)) == pytest.approx(1.0)
-        assert last_transition_time(Trace(0.0, 1e-4, samples)) == pytest.approx(2e-4)
+        assert last_transition_time(Trace(0.5, samples)) == pytest.approx(1.0)
+        assert last_transition_time(Trace(1e-4, samples)) == pytest.approx(2e-4)
 
 
 class TestT0Stats:

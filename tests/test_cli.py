@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from srlab.amp_detect import T0Stats
-from srlab.cli import TABLES, main, parse_grid, resolve_params
+from srlab.cli import COMMANDS, main, parse_grid, resolve_params
 from srlab.csvio import read_manifest, write_t0_curve_csv
 
 
@@ -158,10 +158,19 @@ class TestExitCodes:
         ["bank", "--decay", "-1", "--votes", "1", *SHORT],
         ["bank", "--decay", "nan", "--votes", "1", *SHORT],
         ["freq-table", "--noise-rate", "5000", *ONE_CELL],
+        ["detect-freq", "--decay", "0", *SHORT],
+        # flags that the selected law or bank mode never reads
+        ["t0-curve", "--ratio", "0.3"],
+        ["hysteresis", "--law", "calibrated", "--ratio", "0.045"],
+        ["bank", "--sigma-grid", "0.5,0.6"],
+        ["bank", "--threshold", "0.3"],
+        ["bank", "--thresholds", "0.01", "--mode", "sigma"],
+        ["bank", "--sigma", "0.01", "--mode", "sigma"],
     ], ids=lambda argv: "_".join(argv[:3]))
     def test_silent_bad_input_is_config_error(self, tmp_path, argv):
-        assert main([*argv, "--out-dir", str(tmp_path)]) == 2
-        assert not list(tmp_path.glob("*.csv"))
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_malformed_maybe_float_refused_by_argparse(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -169,7 +178,7 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "invalid maybe_float value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [*TABLES, "reproduce"])
+    @pytest.mark.parametrize("command", [*COMMANDS, "reproduce"])
     def test_help_exits_zero(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])

@@ -56,7 +56,7 @@ class TestByteContract:
         assert raw == b"a,b\n1,2.5\n,true\n"
 
     def test_identical_input_identical_bytes(self, tmp_path):
-        tr = Trace(0.0, 1e-4, np.array([0.0, 0.5, -0.5]))
+        tr = Trace(1e-4, np.array([0.0, 0.5, -0.5]))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_waveforms_csv(p1, tr, tr, tr)
         write_waveforms_csv(p2, tr, tr, tr)
@@ -66,9 +66,9 @@ class TestByteContract:
         # repr floats must round-trip exactly through the text form, in
         # every waveform column
         samples = np.array([0.1, 1 / 3, 0.19899999999999998])
-        tr = Trace(0.0, 1e-4, samples)
+        tr = Trace(1e-4, samples)
         path = tmp_path / "waveforms.csv"
-        write_waveforms_csv(path, tr, Trace(0.0, 1e-4, -samples), tr)
+        write_waveforms_csv(path, tr, Trace(1e-4, -samples), tr)
         rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
         back = np.array([[float(v) for v in r[1:]] for r in rows])
         np.testing.assert_array_equal(back, np.column_stack([samples, -samples, samples]))

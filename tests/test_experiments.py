@@ -5,11 +5,10 @@ from srlab.experiments import (
     SweepResult,
     capture_transitions,
     find_sr_peak,
-    signal_frequency,
     snr_sigma_sweep,
 )
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import DampedSine, Dc, Ramp, Sine, generate
+from srlab.signals import DampedSine, Sine, generate
 from srlab.spectral import periodogram, snr_db
 from srlab.trigger import ideal_config, run, transition_count
 
@@ -41,18 +40,6 @@ class TestSweepResult:
     def test_len(self):
         sw = SweepResult([0.1, 0.2, 0.3], [1.0, 2.0, 1.5], [0.1, 0.1, 0.1], 2, 0)
         assert len(sw) == 3
-
-
-class TestSignalFrequency:
-    def test_oscillatory_specs(self):
-        assert signal_frequency(Sine(0.1, 250.0)) == 250.0
-        assert signal_frequency(DampedSine(0.1, 5.0, 1000.0)) == 1000.0
-
-    def test_non_oscillatory_rejected(self):
-        with pytest.raises(ValueError):
-            signal_frequency(Dc(0.1))
-        with pytest.raises(ValueError):
-            signal_frequency(Ramp(-0.1, 0.1))
 
 
 class TestSweep:
@@ -111,13 +98,6 @@ class TestSweep:
             snr_sigma_sweep(CFG, SIGNAL, ns, [0.1, 0.05], 20000.0, 0.1)
         with pytest.raises(ValueError):
             snr_sigma_sweep(CFG, SIGNAL, ns, [0.05], 20000.0, 0.1, repeats=0)
-
-    def test_non_oscillatory_signal_rejected(self):
-        with pytest.raises(ValueError):
-            snr_sigma_sweep(
-                CFG, Dc(0.05), NoiseSpec(1.0, 20000.0, seed=0), [0.05], 20000.0, 0.1
-            )
-
 
 class TestFindPeak:
     def test_picks_maximum(self):

@@ -39,13 +39,13 @@ class TestReport:
 
 class TestTransitionSpectrum:
     def test_length_and_grid_preserved(self):
-        out = Trace(0.0, 1e-4, np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0]))
+        out = Trace(1e-4, np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0]))
         spec = transition_spectrum(out)
         assert spec.n_samples == 6
         assert spec.df == pytest.approx(10000.0 / 6.0)
 
     def test_constant_output_is_silent(self):
-        out = Trace(0.0, 1e-4, np.ones(1000))
+        out = Trace(1e-4, np.ones(1000))
         spec = transition_spectrum(out)
         assert second_peak_frequency(spec) is None
 
@@ -54,7 +54,7 @@ class TestTransitionSpectrum:
         # transition train removes most of it while keeping the fundamental
         cfg = TriggerConfig(1.0, -1.0, 0.045, -0.045, input_attenuation=1.0)
         sig = generate(Sine(0.2, 50.0), 20000.0, 0.4)
-        silence = Trace(0.0, sig.dt, np.zeros(sig.n_samples))
+        silence = Trace(sig.dt, np.zeros(sig.n_samples))
         out = run(cfg, sig, silence)
         spec = transition_spectrum(out)
         mags = spec.mag_db

@@ -81,8 +81,8 @@ class TestRunMatchesStep:
     @example(_on_unit([0.1, 0.2, -0.2, -0.3]), TriggerState.HIGH)
     def test_run_equals_folded_step(self, drive, initial):
         cfg, signal, noise = drive
-        sig = Trace(0.0, 1e-3, np.array(signal))
-        noi = Trace(0.0, 1e-3, np.array(noise))
+        sig = Trace(1e-3, np.array(signal))
+        noi = Trace(1e-3, np.array(noise))
         out = run(cfg, sig, noi, initial=initial)
         v_n = [cfg.input_attenuation * (s + n) for s, n in zip(signal, noise)]
         assert out.samples.tobytes() == folded_step(cfg, v_n, initial).tobytes()
@@ -137,7 +137,7 @@ class TestTransitionStatistics:
     @example([1.0, 1.0, -0.5], 1.0 / 20000.0)      # switch on the final sample
     @example([0.0, -0.0, 0.0], 1e-3)               # signed zeros are one level
     def test_equal_flip_scan(self, samples, dt):
-        tr = Trace(0.0, dt, np.array(samples))
+        tr = Trace(dt, np.array(samples))
         got = last_transition_time(tr)
         want = flip_scan_last_transition_time(tr)
         assert type(got) is float
@@ -147,8 +147,8 @@ class TestTransitionStatistics:
     def test_comparator_output(self):
         # a long run with many switches, as the t0 curves produce
         rng = np.random.default_rng(7)
-        sig = Trace(0.0, 1.0 / 20000.0, rng.normal(0.0, 0.3, 30000))
-        out = run(HALF, sig, Trace(0.0, sig.dt, np.zeros(sig.n_samples)))
+        sig = Trace(1.0 / 20000.0, rng.normal(0.0, 0.3, 30000))
+        out = run(HALF, sig, Trace(sig.dt, np.zeros(sig.n_samples)))
         assert transition_count(out) > 100
         assert last_transition_time(out) == flip_scan_last_transition_time(out)
 

@@ -3,9 +3,7 @@ import pytest
 
 from srlab.signals import (
     MAX_SAMPLES,
-    Dc,
     DampedSine,
-    Ramp,
     Sine,
     Trace,
     envelope,
@@ -16,25 +14,20 @@ from srlab.signals import (
 
 class TestTrace:
     def test_basic_properties(self):
-        t = Trace(start_time=0.0, dt=0.001, samples=[1.0, 2.0, 3.0])
+        t = Trace(dt=0.001, samples=[1.0, 2.0, 3.0])
         assert t.n_samples == 3
         assert t.sample_rate == 1000.0
-        assert t.duration == pytest.approx(0.003)
         np.testing.assert_allclose(t.times(), [0.0, 0.001, 0.002])
-
-    def test_start_time_offsets_times(self):
-        t = Trace(start_time=1.0, dt=0.5, samples=[0.0, 0.0])
-        np.testing.assert_allclose(t.times(), [1.0, 1.5])
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            Trace(start_time=0.0, dt=0.0, samples=[1.0])
+            Trace(dt=0.0, samples=[1.0])
 
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
-            Trace(start_time=0.0, dt=0.1, samples=[])
+            Trace(dt=0.1, samples=[])
         with pytest.raises(ValueError):
-            Trace(start_time=0.0, dt=0.1, samples=[[1.0, 2.0]])
+            Trace(dt=0.1, samples=[[1.0, 2.0]])
 
 
 class TestSpecs:
@@ -59,16 +52,6 @@ class TestSpecs:
             DampedSine(amplitude=float("inf"), decay=1.0, frequency=10.0)
         # zero decay is a plain sine through the damped code path
         DampedSine(amplitude=1.0, decay=0.0, frequency=10.0)
-
-    def test_dc_and_ramp_refuse_non_finite(self):
-        for bad in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError):
-                Dc(bad)
-            with pytest.raises(ValueError):
-                Ramp(bad, 0.1)
-            with pytest.raises(ValueError):
-                Ramp(-0.1, bad)
-
 
 class TestNSamples:
     def test_rounding(self):
@@ -109,15 +92,6 @@ class TestGenerate:
         t = tr.times()
         expected = 0.1 * np.exp(-5.0 * t) * np.sin(2.0 * np.pi * 1000.0 * t)
         np.testing.assert_allclose(tr.samples, expected, atol=1e-12)
-
-    def test_dc_and_ramp(self):
-        dc = generate(Dc(level=0.7), 100.0, 0.05)
-        assert np.all(dc.samples == 0.7)
-        ramp = generate(Ramp(v_start=-1.0, v_end=1.0), 100.0, 0.1)
-        assert ramp.samples[0] == pytest.approx(-1.0)
-        # left-aligned grid: the final sample sits one step short of v_end
-        assert ramp.samples[-1] == pytest.approx(1.0 - 2.0 * 0.01 / 0.1)
-        assert np.all(np.diff(ramp.samples) > 0.0)
 
     def test_grid_is_deterministic(self):
         a = generate(Sine(1.0, 10.0), 1000.0, 0.2)

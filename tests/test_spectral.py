@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import Dc, Sine, Trace, generate
+from srlab.signals import Sine, Trace, generate
 from srlab.spectral import (
     MAG_FLOOR,
     Spectrum,
@@ -41,7 +41,7 @@ class TestPeriodogram:
         assert spec.mag_db[10] == pytest.approx(20.0 * np.log10(MAG_FLOOR))
 
     def test_dc_bin(self):
-        tr = generate(Dc(0.25), 1000.0, 0.5)  # n=500
+        tr = Trace(1.0 / 1000.0, np.full(500, 0.25))
         spec = periodogram(tr)
         assert spec.mag_db[0] == pytest.approx(20.0 * np.log10(0.25 * 500.0), abs=1e-9)
 
@@ -126,7 +126,7 @@ class TestSecondPeak:
         # non-DC line is the drive frequency
         cfg = TriggerConfig(1.0, -1.0, 0.045, -0.045, input_attenuation=1.0)
         sig = generate(Sine(0.2, 500.0), 20000.0, 0.4)
-        silence = Trace(0.0, sig.dt, np.zeros(sig.n_samples))
+        silence = Trace(sig.dt, np.zeros(sig.n_samples))
         out = run(cfg, sig, silence)
         spec = periodogram(out)
         assert second_peak_frequency(spec) == pytest.approx(500.0, abs=spec.df)

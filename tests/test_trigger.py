@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import MAX_SAMPLES, Dc, Ramp, Sine, Trace, generate
+from srlab.signals import MAX_SAMPLES, Sine, Trace, generate
 from srlab.trigger import (
     HysteresisLoop,
     TriggerConfig,
@@ -19,7 +19,7 @@ from srlab.trigger import (
 
 
 def _zeros_like(trace):
-    return Trace(start_time=trace.start_time, dt=trace.dt, samples=np.zeros(trace.n_samples))
+    return Trace(dt=trace.dt, samples=np.zeros(trace.n_samples))
 
 
 class TestConfig:
@@ -131,7 +131,7 @@ class TestRun:
     def test_bistable_in_band(self):
         # constant input inside the band holds whichever state it started in
         cfg = ideal_config(1.0, 0.045, 0.5)
-        sig = generate(Dc(0.088), 10000.0, 0.1)  # comparator sees 0.044 < v_ut
+        sig = Trace(1.0 / 10000.0, np.full(1000, 0.088))  # comparator sees 0.044 < v_ut
         noi = _zeros_like(sig)
         high = run(cfg, sig, noi, initial=TriggerState.HIGH)
         low = run(cfg, sig, noi, initial=TriggerState.LOW)
@@ -141,7 +141,8 @@ class TestRun:
     def test_no_chatter_on_slow_ramp(self):
         # one clean fall when a noiseless ramp climbs through the band
         cfg = ideal_config(1.0, 0.045, 0.5)
-        sig = generate(Ramp(-0.2, 0.2), 20000.0, 1.0)
+        dt = 1.0 / 20000.0
+        sig = Trace(dt, -0.2 + 0.4 * (dt * np.arange(20000)))
         out = run(cfg, sig, _zeros_like(sig), initial=TriggerState.HIGH)
         assert transition_count(out) == 1
         assert out.samples[0] == 1.0
@@ -156,17 +157,17 @@ class TestRun:
 
     def test_grid_mismatch_rejected(self):
         cfg = ideal_config()
-        sig = generate(Dc(0.0), 10000.0, 0.1)
+        sig = Trace(1.0 / 10000.0, np.zeros(1000))
         with pytest.raises(ValueError):
-            run(cfg, sig, generate(Dc(0.0), 20000.0, 0.1))
+            run(cfg, sig, Trace(1.0 / 20000.0, np.zeros(2000)))
         with pytest.raises(ValueError):
-            run(cfg, sig, generate(Dc(0.0), 10000.0, 0.05))
+            run(cfg, sig, Trace(1.0 / 10000.0, np.zeros(500)))
 
     def test_forced_state_ignores_history(self):
         # a sample beyond a threshold pins the state no matter what came before
         cfg = TriggerConfig(1.0, -1.0, 0.1, -0.1, input_attenuation=1.0)
         samples = np.array([0.0, 0.2, 0.0, -0.2, 0.0, 0.2, 0.2, 0.0])
-        sig = Trace(start_time=0.0, dt=1e-3, samples=samples)
+        sig = Trace(dt=1e-3, samples=samples)
         out = run(cfg, sig, _zeros_like(sig))
         np.testing.assert_array_equal(
             out.samples, [1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
@@ -175,11 +176,11 @@ class TestRun:
 
 class TestTransitionCount:
     def test_counts_level_changes(self):
-        tr = Trace(0.0, 1e-3, np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))
+        tr = Trace(1e-3, np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))
         assert transition_count(tr) == 3
 
     def test_constant_is_zero(self):
-        tr = Trace(0.0, 1e-3, np.ones(100))
+        tr = Trace(1e-3, np.ones(100))
         assert transition_count(tr) == 0
 
 
