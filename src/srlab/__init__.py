@@ -23,6 +23,7 @@ from srlab.signals import DampedSine, Sine, Trace, envelope, generate
 from srlab.noise import NoiseSpec, generate_noise, noise_stream
 from srlab.trigger import (
     HysteresisLoop,
+    SwitchList,
     TriggerConfig,
     TriggerState,
     calibrated_config,
@@ -101,6 +102,7 @@ __all__ = [
     "Sine",
     "Spectrum",
     "SweepResult",
+    "SwitchList",
     "T0Stats",
     "ThresholdGap",
     "Trace",

@@ -34,8 +34,8 @@ from scipy.special import log_ndtr, ndtr
 
 from srlab.experiments import sigma_grid, simulate
 from srlab.noise import NoiseSpec
-from srlab.signals import DampedSine, Trace, envelope, generate, n_samples_for
-from srlab.trigger import TriggerConfig
+from srlab.signals import DampedSine, envelope, generate, n_samples_for
+from srlab.trigger import SwitchList, TriggerConfig
 
 
 class FitError(RuntimeError):
@@ -137,17 +137,14 @@ def expected_t0_for_config(
     return expected_t0_theory(gap, trigger_config.input_attenuation * sigma)
 
 
-def last_transition_time(output: Trace) -> float:
-    """Time of the final level change in a comparator output trace; 0.0 if
-    the output never switches (the no-event sentinel)."""
-    s = output.samples
-    # index of the last sample off the final level; bytes.rfind scans back
-    # from the end in C, where argmax over a reversed (strided) view runs
-    # several times slower than even a full forward scan
-    last_off = (s != s[-1]).tobytes().rfind(1)
-    if last_off < 0:
+def last_transition_time(output: SwitchList) -> float:
+    """Time of the final level change in a comparator output, the grid time
+    of the first sample at the final level; 0.0 if the output never switches
+    (the no-event sentinel)."""
+    switches = output.switches
+    if switches.size == 0:
         return 0.0
-    return float((last_off + 1) * output.dt)
+    return float(int(switches[-1]) * output.dt)
 
 
 @dataclass(frozen=True)

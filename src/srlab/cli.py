@@ -432,8 +432,10 @@ PRESETS = {
     "fig13": COMMANDS["t0-curve"],
 }
 
-# (setting, value) -> parameters that value never reads; giving one of them
-# as a flag is refused rather than recorded in a manifest that ignores it.
+# (setting, value) -> parameters that value never reads.  Giving one of them
+# as a flag, or a config-file value other than its default, is refused rather
+# than recorded in a manifest that ignores it.  Manifests record the default
+# for these keys, so replaying one passes.
 _UNREAD = {
     ("law", "calibrated"): ("ratio",),
     ("mode", "threshold"): ("sigma_grid", "threshold"),
@@ -474,10 +476,15 @@ def _dispatch(args) -> str:
         raise ValueError(f"{name} draws no noise, so it takes no --seed")
     params = resolve_params(args, table, config)
     for (setting, value), unread in _UNREAD.items():
-        given = [n for n in unread if getattr(args, n, None) is not None]
-        if given and params.get(setting) == value:
-            flag = "--" + given[0].replace("_", "-")
-            raise ValueError(f"{setting} {value} never reads {flag}; drop it")
+        if params.get(setting) != value:
+            continue
+        for n in unread:
+            if getattr(args, n, None) is not None:
+                flag = "--" + n.replace("_", "-")
+                raise ValueError(f"{setting} {value} never reads {flag}; drop it")
+            if params[n] != table[n][1]:
+                raise ValueError(f"{setting} {value} never reads {n}; the config file's "
+                                 f"{n} = {config[n]} would be ignored")
     out = Path(args.out_dir)
     summary = runner(params, out, prefix)
     if prefix == "fig13":

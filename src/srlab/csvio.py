@@ -23,7 +23,7 @@ from srlab.bank import BankReport
 from srlab.experiments import SweepResult
 from srlab.freq_detect import FreqDetectReport
 from srlab.signals import Trace
-from srlab.trigger import HysteresisLoop
+from srlab.trigger import HysteresisLoop, SwitchList
 
 
 def _cell(value) -> str:
@@ -55,7 +55,7 @@ def write_rows(path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def write_waveforms_csv(path, signal: Trace, combined: Trace, output: Trace) -> None:
+def write_waveforms_csv(path, signal: Trace, combined: Trace, output: SwitchList) -> None:
     """Aligned capture of a single run: clean input, comparator input, output."""
     write_rows(
         path,

@@ -19,7 +19,7 @@ import numpy as np
 from srlab.noise import NoiseSpec, generate_noise
 from srlab.signals import SignalSpec, Trace, generate
 from srlab.spectral import periodogram, snr_db
-from srlab.trigger import TriggerConfig, run
+from srlab.trigger import SwitchList, TriggerConfig, run
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,12 @@ class SweepResult:
 def simulate(signal: Trace, cells, sample_rate: float, duration: float, reduce) -> list:
     """The Monte-Carlo step of every experiment: for each cell
     (trigger_config, noise_spec, stream), drive the comparator with signal
-    plus the noise of (noise_spec.seed, stream) and reduce the output trace
-    to one result.  Results come back in cell order; the caller picks every
-    cell's address, so each experiment keeps its own stream layout."""
+    plus the noise of (noise_spec.seed, stream) and reduce its output, a
+    trigger.SwitchList, to one result.  Results come back in cell order;
+    the caller picks every cell's address, so each experiment keeps its own
+    stream layout."""
     results = []
     for config, spec, stream in cells:
-        # `noise` stays bound until the next cell's draw replaces it.  Freeing
-        # all of a cell's arrays at once lets glibc malloc trim the heap, and
-        # on 30 000-sample cells the next cell then faults its pages back in:
-        # 9x the page faults and 15-25% more wall time on fig13 curves.
         noise = generate_noise(spec, sample_rate, duration, stream=stream)
         results.append(reduce(run(config, signal, noise)))
     return results
@@ -134,12 +131,12 @@ def capture_transitions(
     noise_spec: NoiseSpec,
     sample_rate: float,
     duration: float,
-) -> tuple[Trace, Trace, Trace]:
+) -> tuple[Trace, Trace, SwitchList]:
     """One noisy run with all three waveforms kept for inspection.
 
     Returns (input, combined, output): the clean signal, the attenuated
-    signal+noise the comparator actually sees, and the output levels — all
-    on the same time grid.
+    signal+noise the comparator actually sees, and the output switch list,
+    whose samples are the output levels — all on the same time grid.
     """
     signal = generate(signal_spec, sample_rate, duration)
     noise = generate_noise(noise_spec, sample_rate, duration)

@@ -23,7 +23,7 @@ from srlab.experiments import SweepResult, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
 from srlab.spectral import Spectrum, periodogram, second_peak_frequency
-from srlab.trigger import TriggerConfig
+from srlab.trigger import SwitchList, TriggerConfig
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,16 @@ class DetectionSetup:
     dc_guard_hz: float | None = None
 
 
-def transition_spectrum(output: Trace) -> Spectrum:
-    """Spectrum of the output's transition train (first difference of the
-    level trace, first sample zero so the length is unchanged)."""
-    diff = np.diff(output.samples, prepend=output.samples[0])
+def transition_spectrum(output: SwitchList) -> Spectrum:
+    """Spectrum of the output's transition train: the first difference of
+    the level trace (first sample zero so the length is unchanged), which is
+    an impulse of one rail step at each switch, alternating in sign."""
+    fall = output.v_sat_neg - output.v_sat_pos
+    rise = output.v_sat_pos - output.v_sat_neg
+    first, second = (fall, rise) if output.first_high else (rise, fall)
+    diff = np.zeros(output.n_samples)
+    diff[output.switches[0::2]] = first
+    diff[output.switches[1::2]] = second
     return periodogram(Trace(dt=output.dt, samples=diff))
 
 

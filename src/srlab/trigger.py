@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,14 +136,18 @@ def _switches(
     below = v_n < v_lt
     forcing = np.flatnonzero(below | (v_n > v_ut))
     forced_high = below[forcing]
-    switches = forcing[np.flatnonzero(np.diff(forced_high, prepend=start_high))]
+    changed = np.empty(forced_high.size, dtype=bool)
+    if forced_high.size:
+        changed[0] = forced_high[0] != start_high
+        np.not_equal(forced_high[1:], forced_high[:-1], out=changed[1:])
+    switches = forcing[np.flatnonzero(changed)]
     if switches.size and switches[0] == 0:
         return not start_high, switches[1:]
     return start_high, switches
 
 
 def _rails(
-    config: TriggerConfig, first_high: bool, switches: np.ndarray, n: int
+    v_sat_pos: float, v_sat_neg: float, first_high: bool, switches: np.ndarray, n: int
 ) -> np.ndarray:
     """Dense n-sample output: the rail values, alternating at each switch.
 
@@ -154,8 +159,37 @@ def _rails(
     toggled[switches] = True
     np.logical_xor.accumulate(toggled, out=toggled)
     if first_high:
-        return np.where(toggled, config.v_sat_neg, config.v_sat_pos)
-    return np.where(toggled, config.v_sat_pos, config.v_sat_neg)
+        return np.where(toggled, v_sat_neg, v_sat_pos)
+    return np.where(toggled, v_sat_pos, v_sat_neg)
+
+
+@dataclass(frozen=True)
+class SwitchList:
+    """Comparator output on an n_samples grid of step dt, as the level after
+    sample 0 (first_high: True = v_sat_pos) and the sorted indices >= 1 at
+    which the level changes.
+
+    The reducers (transition counts, last-transition times, transition
+    spectra) read the switches directly.  `samples`, the dense two-rail
+    trace, is built on first access and cached, so a SwitchList also serves
+    where a Trace is read (periodograms, waveform CSVs).
+    """
+
+    dt: float
+    n_samples: int
+    first_high: bool
+    switches: np.ndarray
+    v_sat_pos: float
+    v_sat_neg: float
+
+    @property
+    def sample_rate(self) -> float:
+        return 1.0 / self.dt
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return _rails(self.v_sat_pos, self.v_sat_neg, self.first_high, self.switches,
+                      self.n_samples)
 
 
 def run(
@@ -163,9 +197,9 @@ def run(
     signal: Trace,
     noise: Trace,
     initial: TriggerState = TriggerState.HIGH,
-) -> Trace:
-    """Drive the comparator with attenuated signal+noise; returns the output
-    trace on the same grid.  Output samples take only the two rail values."""
+) -> SwitchList:
+    """Drive the comparator with attenuated signal+noise; returns its output
+    on the same grid as a switch list."""
     if signal.dt != noise.dt:
         raise ValueError(f"signal and noise dt differ: {signal.dt} vs {noise.dt}")
     if signal.n_samples != noise.n_samples:
@@ -176,14 +210,13 @@ def run(
     first_high, switches = _switches(
         v_n, config.v_ut, config.v_lt, initial is TriggerState.HIGH
     )
-    out = _rails(config, first_high, switches, v_n.size)
-    return Trace(dt=signal.dt, samples=out)
+    return SwitchList(signal.dt, v_n.size, first_high, switches,
+                      config.v_sat_pos, config.v_sat_neg)
 
 
-def transition_count(output: Trace) -> int:
-    """Number of level changes in a comparator output trace."""
-    s = output.samples
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+def transition_count(output: SwitchList) -> int:
+    """Number of level changes in a comparator output."""
+    return int(output.switches.size)
 
 
 @dataclass(frozen=True)
@@ -223,6 +256,7 @@ def hysteresis_sweep(
     v_up = np.linspace(v_min, v_max, points)
     v_down = v_up[::-1].copy()
     a = config.input_attenuation
+    rails = (config.v_sat_pos, config.v_sat_neg)
 
     up_high, up_switches = _switches(a * v_up, config.v_ut, config.v_lt, start_high=True)
     down_high, down_switches = _switches(
@@ -236,9 +270,9 @@ def hysteresis_sweep(
 
     return HysteresisLoop(
         ascending_input=v_up,
-        ascending_output=_rails(config, up_high, up_switches, points),
+        ascending_output=_rails(*rails, up_high, up_switches, points),
         descending_input=v_down,
-        descending_output=_rails(config, down_high, down_switches, points),
+        descending_output=_rails(*rails, down_high, down_switches, points),
         measured_up_threshold=first_switch(v_down, down_switches),
         measured_down_threshold=first_switch(v_up, up_switches),
     )

@@ -21,7 +21,7 @@ from srlab.amp_detect import (
     t0_sigma_curve,
 )
 from srlab.signals import DampedSine, Trace, envelope, n_samples_for
-from srlab.trigger import calibrated_config
+from srlab.trigger import TriggerConfig, calibrated_config, run
 
 CFG4 = calibrated_config(4.0, 0.5)  # threshold 0.199, attenuation 0.5
 DRIVE = DampedSine(0.1, 5.0, 1000.0)
@@ -139,21 +139,27 @@ class TestExpectedT0:
         assert expected_t0_for_config(CFG4, DRIVE, sigma, 5000.0, 1.5) == direct
 
 
+def _forced(levels, dt):
+    """Comparator output at the given +1/-1 levels: each input sample lies
+    beyond the threshold that forces its level."""
+    cfg = TriggerConfig(1.0, -1.0, 0.1, -0.1, input_attenuation=1.0)
+    drive = Trace(dt, -0.2 * np.asarray(levels, dtype=np.float64))
+    return run(cfg, drive, Trace(dt, np.zeros(drive.n_samples)))
+
+
 class TestLastTransition:
     def test_no_switch_is_zero_sentinel(self):
-        tr = Trace(1e-4, np.ones(100))
-        assert last_transition_time(tr) == 0.0
+        assert last_transition_time(_forced(np.ones(100), 1e-4)) == 0.0
 
     def test_time_of_final_flip(self):
-        samples = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-        tr = Trace(1e-3, samples)
+        out = _forced([1.0, -1.0, -1.0, 1.0, 1.0, 1.0], 1e-3)
         # flips after samples 0 and 2; the last new level appears at index 3
-        assert last_transition_time(tr) == pytest.approx(3e-3)
+        assert last_transition_time(out) == pytest.approx(3e-3)
 
     def test_units_follow_dt(self):
-        samples = np.array([1.0, 1.0, -1.0, -1.0])
-        assert last_transition_time(Trace(0.5, samples)) == pytest.approx(1.0)
-        assert last_transition_time(Trace(1e-4, samples)) == pytest.approx(2e-4)
+        levels = [1.0, 1.0, -1.0, -1.0]
+        assert last_transition_time(_forced(levels, 0.5)) == pytest.approx(1.0)
+        assert last_transition_time(_forced(levels, 1e-4)) == pytest.approx(2e-4)
 
 
 class TestT0Stats:

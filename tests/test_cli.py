@@ -1,4 +1,5 @@
 import argparse
+import re
 import tracemalloc
 
 import numpy as np
@@ -170,6 +171,29 @@ class TestExitCodes:
     def test_silent_bad_input_is_config_error(self, tmp_path, argv):
         out = tmp_path / "out"
         assert main([*argv, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    # config-file values that the selected law or bank mode never reads
+    @pytest.mark.parametrize("argv, key, edited", [
+        (["t0-curve", "--sigma-grid", "0,0.3", "--runs", "2", "--duration", "0.05"],
+         "ratio", "0.05"),
+        (["bank", "--votes", "1", "--duration", "0.05"], "sigma_grid", "0.5,0.6"),
+    ], ids=["t0-curve_ratio", "bank_sigma_grid"])
+    def test_unread_config_value_is_config_error(self, tmp_path, argv, key, edited):
+        stem = argv[0].replace("-", "_")
+        first, replay, out = tmp_path / "a", tmp_path / "b", tmp_path / "edited"
+        assert main([*argv, "--out-dir", str(first)]) == 0
+        manifest = first / f"{stem}_manifest.ini"
+        # the unedited manifest records the default, so its replay runs
+        assert main([argv[0], "--config", str(manifest), "--out-dir", str(replay)]) == 0
+        for name in (f"{stem}.csv", f"{stem}_manifest.ini"):
+            assert (first / name).read_bytes() == (replay / name).read_bytes()
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {edited}", manifest.read_text(),
+                          flags=re.M)
+        assert n == 1
+        config = tmp_path / "edited.ini"
+        config.write_text(text)
+        assert main([argv[0], "--config", str(config), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
     def test_malformed_maybe_float_refused_by_argparse(self, tmp_path, capsys):

@@ -38,15 +38,22 @@ class TestReport:
 
 
 class TestTransitionSpectrum:
+    # inputs of +-0.2 force the comparator's level at every sample
+    UNIT = TriggerConfig(1.0, -1.0, 0.1, -0.1, input_attenuation=1.0)
+
+    def _run(self, drive):
+        sig = Trace(1e-4, np.asarray(drive, dtype=np.float64))
+        return run(self.UNIT, sig, Trace(sig.dt, np.zeros(sig.n_samples)))
+
     def test_length_and_grid_preserved(self):
-        out = Trace(1e-4, np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0]))
+        out = self._run([-0.2, -0.2, 0.2, 0.2, -0.2, -0.2])
+        np.testing.assert_array_equal(out.samples, [1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
         spec = transition_spectrum(out)
         assert spec.n_samples == 6
         assert spec.df == pytest.approx(10000.0 / 6.0)
 
     def test_constant_output_is_silent(self):
-        out = Trace(1e-4, np.ones(1000))
-        spec = transition_spectrum(out)
+        spec = transition_spectrum(self._run(np.full(1000, -0.2)))
         assert second_peak_frequency(spec) is None
 
     def test_flattens_dc_skirt(self):

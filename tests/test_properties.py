@@ -1,7 +1,9 @@
 """Property tests: each vectorised fast path against its slow oracle.
 
 - trigger.run and hysteresis_sweep against step() folded sample by sample;
-- last_transition_time and transition_count against the flip-list scan;
+- last_transition_time, transition_count and transition_spectrum, which
+  read run()'s switch list, against the flip-list scan and the periodogram
+  of the dense output's first difference;
 - generate_noise against the index-gather zero-order hold.
 
 The oracles stay here as plain loops and formulas.  Equality is byte
@@ -15,8 +17,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from srlab.amp_detect import last_transition_time  # noqa: E402
+from srlab.freq_detect import transition_spectrum  # noqa: E402
 from srlab.noise import CLIP_V, NoiseSpec, generate_noise, noise_stream  # noqa: E402
 from srlab.signals import Trace, n_samples_for  # noqa: E402
+from srlab.spectral import periodogram  # noqa: E402
 from srlab.trigger import (  # noqa: E402
     TriggerConfig,
     TriggerState,
@@ -128,21 +132,24 @@ def flip_scan_transition_count(output):
 
 class TestTransitionStatistics:
     @PROPERTY
-    @given(st.lists(st.one_of(st.sampled_from([1.0, -0.5, 0.93, -0.915, 0.0, -0.0]),
-                              st.floats(allow_nan=False)), min_size=1, max_size=200),
-           st.floats(1e-7, 10.0))
-    @example([1.0], 1e-3)
-    @example([1.0, 1.0, 1.0], 1e-3)                 # never switches
-    @example([-0.5, 1.0, 1.0], 1.0 / 20000.0)      # switch at sample 1
-    @example([1.0, 1.0, -0.5], 1.0 / 20000.0)      # switch on the final sample
-    @example([0.0, -0.0, 0.0], 1e-3)               # signed zeros are one level
-    def test_equal_flip_scan(self, samples, dt):
-        tr = Trace(dt, np.array(samples))
-        got = last_transition_time(tr)
-        want = flip_scan_last_transition_time(tr)
+    @given(drives(), st.sampled_from(list(TriggerState)), st.floats(1e-7, 10.0))
+    @example(_on_unit([0.5]), TriggerState.HIGH, 1e-3)
+    @example(_on_unit([0.0, 0.0, 0.0]), TriggerState.HIGH, 1e-3)            # never switches
+    @example(_on_unit([0.5, -0.5, 0.0]), TriggerState.HIGH, 1.0 / 20000.0)  # switch at sample 1
+    @example(_on_unit([0.0, 0.0, 0.5]), TriggerState.HIGH, 1.0 / 20000.0)   # on the final sample
+    def test_equal_flip_scan(self, drive, initial, dt):
+        cfg, signal, noise = drive
+        out = run(cfg, Trace(dt, np.array(signal)), Trace(dt, np.array(noise)), initial=initial)
+        got = last_transition_time(out)
+        want = flip_scan_last_transition_time(out)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert transition_count(tr) == flip_scan_transition_count(tr)
+        assert transition_count(out) == flip_scan_transition_count(out)
+        diff = np.diff(out.samples, prepend=out.samples[0])
+        want_db = periodogram(Trace(dt, diff)).mag_db
+        assert transition_spectrum(out).mag_db.tobytes() == want_db.tobytes()
+        v_n = [cfg.input_attenuation * (s + n) for s, n in zip(signal, noise)]
+        assert out.samples.tobytes() == folded_step(cfg, v_n, initial).tobytes()
 
     def test_comparator_output(self):
         # a long run with many switches, as the t0 curves produce

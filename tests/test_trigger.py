@@ -175,13 +175,18 @@ class TestRun:
 
 
 class TestTransitionCount:
+    # inputs of +-0.2 force the comparator's level at every sample
+    CFG = TriggerConfig(1.0, -1.0, 0.1, -0.1, input_attenuation=1.0)
+
     def test_counts_level_changes(self):
-        tr = Trace(1e-3, np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0]))
-        assert transition_count(tr) == 3
+        sig = Trace(1e-3, np.array([-0.2, -0.2, 0.2, 0.2, -0.2, 0.2]))
+        out = run(self.CFG, sig, _zeros_like(sig))
+        np.testing.assert_array_equal(out.samples, [1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+        assert transition_count(out) == 3
 
     def test_constant_is_zero(self):
-        tr = Trace(1e-3, np.ones(100))
-        assert transition_count(tr) == 0
+        sig = Trace(1e-3, np.full(100, -0.2))
+        assert transition_count(run(self.CFG, sig, _zeros_like(sig))) == 0
 
 
 class TestHysteresis:
