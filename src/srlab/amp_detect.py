@@ -28,10 +28,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import least_squares
-from scipy.special import log_ndtr, ndtr
 
+# scipy is imported inside the three functions that need it (t0_density_grid,
+# fit_sigmoid, calibrate_and_estimate_decay).  At module level its special,
+# optimize and interpolate packages would make every `import srlab` take
+# about four times as long and twice the memory, though the sweep,
+# hysteresis, frequency-detection and bank paths never call scipy.
 from srlab.experiments import sigma_grid, simulate
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, envelope, generate, n_samples_for
@@ -97,6 +99,8 @@ def t0_density_grid(gap: ThresholdGap, sigma: float) -> np.ndarray:
     end of the grid.  Everything stays in log space until the final exp, so
     tiny probabilities underflow to 0 rather than NaN.
     """
+    from scipy.special import log_ndtr, ndtr
+
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     x = gap.values / sigma
@@ -270,6 +274,8 @@ def fit_sigmoid(
     center at the first grid point reaching half plateau — so identical
     input gives an identical fit.
     """
+    from scipy.optimize import least_squares
+
     x = np.asarray([s.sigma for s in curve], dtype=np.float64)
     y = np.asarray([s.mean_t0 for s in curve], dtype=np.float64)
     if x.size < 4:
@@ -349,6 +355,8 @@ def calibrate_and_estimate_decay(
     estimate is the decay minimizing it over a fine grid that includes the
     calibration knots themselves.
     """
+    from scipy.interpolate import PchipInterpolator
+
     if len(curves_by_b) < 3:
         raise ValueError(
             f"need >= 3 calibration decay values, got {len(curves_by_b)}"

@@ -32,12 +32,14 @@ class Spectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "mag_db", np.asarray(self.mag_db, dtype=np.float64))
-        if self.df <= 0.0:
-            raise ValueError(f"df must be > 0, got {self.df}")
+        if not 0.0 < self.df < math.inf:
+            raise ValueError(f"df must be finite and > 0, got {self.df}")
         if self.mag_db.size != self.n_samples // 2 + 1:
             raise ValueError(
                 f"mag_db length {self.mag_db.size} inconsistent with n_samples {self.n_samples}"
             )
+        if not np.all(np.isfinite(self.mag_db)):
+            raise ValueError("mag_db must be finite")
 
     def freqs(self) -> np.ndarray:
         return self.df * np.arange(self.mag_db.size)
@@ -93,14 +95,26 @@ def second_peak_frequency(
     elif not 0.0 <= dc_guard_hz < math.inf:
         raise ValueError(f"dc_guard_hz must be finite and >= 0, got {dc_guard_hz}")
     mags = spectrum.mag_db
-    freqs = spectrum.freqs()
-    candidates = np.zeros(mags.size, dtype=bool)
-    candidates[1:-1] = (mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])
-    candidates &= freqs > dc_guard_hz
-    if not np.any(candidates):
+    df = spectrum.df
+    # The first bin k >= 1 with df * k > dc_guard_hz, the product freqs()
+    # compares; the floor of the quotient never passes it and falls at most
+    # two bins short.
+    lo = max(1, math.floor(min(dc_guard_hz / df, mags.size)))
+    while lo < mags.size and not df * lo > dc_guard_hz:
+        lo += 1
+    inner = mags[lo:-1]
+    idx = np.flatnonzero((inner > mags[lo - 1:-2]) & (inner > mags[lo + 1:]))
+    if idx.size == 0:
         return None
-    idx = np.nonzero(candidates)[0]
-    k = idx[np.argmax(mags[idx])]
-    if mags[k] < float(np.median(mags)) + MIN_PROMINENCE_DB:
+    k = lo + int(idx[np.argmax(inner[idx])])
+    # The median by selection; mag_db is finite, so this equals np.median up
+    # to the sign of a zero median, which adding the prominence erases.
+    h = mags.size // 2
+    if mags.size % 2:
+        median = np.partition(mags, h)[h]
+    else:
+        part = np.partition(mags, (h - 1, h))
+        median = (part[h - 1] + part[h]) / 2.0
+    if mags[k] < median + MIN_PROMINENCE_DB:
         return None
-    return float(freqs[k])
+    return float(df * k)

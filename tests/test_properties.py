@@ -4,7 +4,9 @@
 - last_transition_time, transition_count and transition_spectrum, which
   read run()'s switch list, against the flip-list scan and the periodogram
   of the dense output's first difference;
-- generate_noise against the index-gather zero-order hold.
+- generate_noise against the index-gather zero-order hold;
+- second_peak_frequency's selection median and first-bin guard against
+  np.median over a mask built from freqs().
 
 The oracles stay here as plain loops and formulas.  Equality is byte
 equality: the fast paths must not move a single output bit.
@@ -20,7 +22,12 @@ from srlab.amp_detect import last_transition_time  # noqa: E402
 from srlab.freq_detect import transition_spectrum  # noqa: E402
 from srlab.noise import CLIP_V, NoiseSpec, generate_noise, noise_stream  # noqa: E402
 from srlab.signals import Trace, n_samples_for  # noqa: E402
-from srlab.spectral import periodogram  # noqa: E402
+from srlab.spectral import (  # noqa: E402
+    MIN_PROMINENCE_DB,
+    Spectrum,
+    periodogram,
+    second_peak_frequency,
+)
 from srlab.trigger import (  # noqa: E402
     TriggerConfig,
     TriggerState,
@@ -198,3 +205,68 @@ class TestNoiseHold:
         assert got.tobytes() == want.tobytes()
         if sigma == 0.0:
             assert not np.signbit(got).any()
+
+
+def masked_second_peak_frequency(spectrum, dc_guard_hz=None):
+    """Peak picking with np.median and a guard mask over freqs()."""
+    if dc_guard_hz is None:
+        dc_guard_hz = 2.0 * spectrum.df
+    mags = spectrum.mag_db
+    freqs = spectrum.freqs()
+    candidates = np.zeros(mags.size, dtype=bool)
+    candidates[1:-1] = (mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])
+    candidates &= freqs > dc_guard_hz
+    if not np.any(candidates):
+        return None
+    idx = np.nonzero(candidates)[0]
+    k = idx[np.argmax(mags[idx])]
+    if mags[k] < float(np.median(mags)) + MIN_PROMINENCE_DB:
+        return None
+    return float(freqs[k])
+
+
+# Few distinct levels, so ties, plateaus and a signed-zero median are common;
+# -6.0 sits one prominence below 0.0.  Small whole numbers put peaks exactly
+# one prominence above either middle value of an even-sized spectrum.
+_LEVELS = [-100.0, -6.0, -0.0, 0.0, 6.0, 6.0000000000000009]
+_MAGS = st.one_of(st.sampled_from(_LEVELS), st.integers(-12, 12).map(float),
+                  st.floats(-200.0, 200.0))
+
+
+def _peak_input(mags, df=1.0, odd_samples=0):
+    return Spectrum(df=df, mag_db=mags, n_samples=2 * (len(mags) - 1) + odd_samples)
+
+
+@st.composite
+def peak_inputs(draw):
+    """A spectrum of odd or even size, and a guard: None, on a bin, between
+    two bins, or anywhere up to past the last bin."""
+    m = draw(st.integers(1, 40))
+    mags = draw(st.lists(_MAGS, min_size=m, max_size=m))
+    df = draw(st.sampled_from([1.0, 0.1, 2.5, 1.0 / 3.0, 7.0]))
+    bins = st.integers(0, m + 1)
+    guard = draw(st.one_of(st.none(), bins.map(lambda j: df * j),
+                           bins.map(lambda j: df * (j + 0.5)),
+                           st.floats(0.0, 2.0 * df * (m + 1))))
+    return _peak_input(mags, df, draw(st.integers(0, 1))), guard
+
+
+class TestSecondPeakSelection:
+    @PROPERTY
+    @given(peak_inputs())
+    @example((_peak_input([0.0, -100.0, 6.0, -100.0, 6.0, -100.0, -100.0]), None))  # tied peaks
+    @example((_peak_input([-0.0, -0.0, 6.0, -0.0]), 0.0))          # median -0.0, even size
+    @example((_peak_input([0.0, -0.0, 6.0, -0.0, 0.0]), 0.0))      # median 0.0, odd size
+    @example((_peak_input([0.0, -6.0, 0.0, -6.0, -6.0], 0.1), 0.2))  # guard on the peak's bin
+    @example((_peak_input([0.0, -6.0, 0.0, -6.0, -6.0], 0.1), 0.15))  # guard between bins
+    @example((_peak_input([0.0, -100.0, 6.0, -100.0], 2.5), 1e300))  # guard past the end
+    @example((_peak_input([0.0, -10.0, -1.0, -10.0, -4.0, -10.0]), 0.0))  # middle pair -10, -4
+    @example((_peak_input([0.0, 10.0, 0.0, 0.0]), 0.0))            # the peak is bin 1
+    @example((_peak_input([5.0]), None))
+    @example((_peak_input([5.0, 6.0]), 0.0))
+    def test_equals_masked_median(self, case):
+        spectrum, guard = case
+        got = second_peak_frequency(spectrum, guard)
+        want = masked_second_peak_frequency(spectrum, guard)
+        assert type(got) is type(want)
+        assert got == want

@@ -23,6 +23,13 @@ class TestSpectrum:
             Spectrum(df=0.0, mag_db=np.zeros(11), n_samples=20)
         with pytest.raises(ValueError):
             Spectrum(df=1.0, mag_db=np.zeros(10), n_samples=20)  # needs 11
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                Spectrum(df=bad, mag_db=np.zeros(11), n_samples=20)
+            mags = np.zeros(11)
+            mags[4] = bad
+            with pytest.raises(ValueError):
+                Spectrum(df=1.0, mag_db=mags, n_samples=20)
 
     def test_freqs_and_nyquist(self):
         spec = Spectrum(df=2.5, mag_db=np.zeros(11), n_samples=20)
