@@ -62,10 +62,6 @@ class ThresholdGap:
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("gap values must be a 1-D array of >= 2 points")
 
-    @property
-    def total_time(self) -> float:
-        return self.dt * (self.values.size - 1)
-
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.values.size)
 
@@ -118,7 +114,7 @@ def expected_t0_theory(gap: ThresholdGap, sigma: float) -> float:
     expectation is the plain sum of t_k * mass_k.  The final grid instant
     carries a full atom (at high sigma most of the distribution sits
     there); an endpoint-halving quadrature would drop half of it and bias
-    the mean low by ~total_time * P(last step)/2.
+    the mean low by ~(window length) * P(last step)/2.
     """
     dens = t0_density_grid(gap, sigma)
     return float(np.sum(gap.times() * dens) * gap.dt)
@@ -189,6 +185,14 @@ def mean_t0_monte_carlo(
     Runs with no transition contribute the 0.0 sentinel to the statistics,
     so the curve starts at 0 for sub-threshold noise.
     """
+    signal = generate(damped, sample_rate, duration)
+    return _t0_stats(trigger_config, signal, sigma, n_runs, seed_base, sample_rate,
+                     duration, noise_rate, stream_base)
+
+
+def _t0_stats(trigger_config, signal, sigma, n_runs, seed_base, sample_rate, duration,
+              noise_rate, stream_base) -> T0Stats:
+    # mean_t0_monte_carlo on a drive generated once by the caller
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     spec = NoiseSpec(
@@ -196,7 +200,6 @@ def mean_t0_monte_carlo(
         noise_rate=noise_rate if noise_rate is not None else sample_rate,
         seed=seed_base,
     )
-    signal = generate(damped, sample_rate, duration)
     cells = [(trigger_config, spec, stream_base + r) for r in range(n_runs)]
     t0s = np.asarray(simulate(signal, cells, sample_rate, duration, last_transition_time))
     return T0Stats(
@@ -220,14 +223,16 @@ def t0_sigma_curve(
 ) -> list[T0Stats]:
     """mean_t0_monte_carlo at every noise level of a strictly increasing
     grid; level i uses streams [i*n_runs, (i+1)*n_runs), so all cells are
-    independent and the curve reproducible from (seed_base, config)."""
+    independent and the curve reproducible from (seed_base, config).  The
+    drive is generated once for the whole curve."""
+    sigmas = sigma_grid(sigmas)
+    signal = generate(damped, sample_rate, duration)
     curve = []
-    for i, sigma in enumerate(sigma_grid(sigmas)):
+    for i, sigma in enumerate(sigmas):
         noiseless = sigma == 0.0
-        stats = mean_t0_monte_carlo(
-            trigger_config, damped, float(sigma), 1 if noiseless else n_runs, seed_base,
-            sample_rate, duration, noise_rate=noise_rate,
-            stream_base=i * n_runs,
+        stats = _t0_stats(
+            trigger_config, signal, float(sigma), 1 if noiseless else n_runs, seed_base,
+            sample_rate, duration, noise_rate, stream_base=i * n_runs,
         )
         if noiseless:
             # Zero noise is the same on every stream, so one run stands for all.
@@ -257,10 +262,6 @@ class SigmoidFit:
             raise ValueError(f"plateau_T must be > 0, got {self.plateau_T}")
         if self.r_squared > 1.0 + 1e-12:
             raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
-
-    def predict(self, sigma):
-        sigma = np.asarray(sigma, dtype=np.float64)
-        return self.plateau_T / (1.0 + np.exp(-self.slope_a * (sigma - self.center_b)))
 
 
 def fit_sigmoid(

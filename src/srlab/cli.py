@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 bad usage/configuration, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -315,7 +316,7 @@ def run_threshold_law(p: dict, out: Path, prefix: str) -> str:
     write_rows(
         out / f"{prefix}.csv",
         ("v_dc_v", "v_th_v"),
-        ((float(v), v_th_from_vdc(float(v))) for v in grid),
+        (grid, [v_th_from_vdc(v) for v in grid.tolist()]),
     )
     return f"threshold law over {grid.size} supply settings"
 
@@ -443,6 +444,9 @@ _UNREAD = {
 }
 
 
+# Built once per process: parsing leaves the parser as it was, and adding
+# every subcommand's arguments takes a few ms, on each main() call otherwise.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srlab",

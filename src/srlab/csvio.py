@@ -44,15 +44,39 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_rows(path, header, rows) -> None:
+# Rows are formatted and written this many at a time, so a writer's memory
+# grows with the block, not with the file.
+_BLOCK = 4096
+
+
+def _format(column):
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        # repr of each Python float: the string _cell gives it, without a
+        # call per value
+        return map(repr, column.tolist())
+    return map(_cell, column)
+
+
+def write_rows(path, header, columns) -> None:
     """Write one CSV file under the package-wide byte contract, creating
-    its directory if needed."""
+    its directory if needed.  `columns` holds one sequence per header name,
+    all of one length; row i takes item i of each."""
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(c) != n for c in columns):
+        raise ValueError(f"need {len(header)} columns of one length for {path}")
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, _BLOCK):
+            cells = [_format(c[start:start + _BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _columns(records, *names) -> list[list]:
+    """One list per attribute name, read off each record in order."""
+    records = list(records)
+    return [[getattr(r, name) for r in records] for name in names]
 
 
 def write_waveforms_csv(path, signal: Trace, combined: Trace, output: SwitchList) -> None:
@@ -60,33 +84,25 @@ def write_waveforms_csv(path, signal: Trace, combined: Trace, output: SwitchList
     write_rows(
         path,
         ("time_s", "input_v", "combined_v", "output_v"),
-        (
-            (float(t), float(a), float(b), float(c))
-            for t, a, b, c in zip(
-                signal.times(), signal.samples, combined.samples, output.samples
-            )
-        ),
+        [np.asarray(c, dtype=np.float64)
+         for c in (signal.times(), signal.samples, combined.samples, output.samples)],
     )
 
 
 def write_hysteresis_csv(path, loop: HysteresisLoop) -> None:
-    def rows():
-        for v_in, v_out in zip(loop.ascending_input, loop.ascending_output):
-            yield ("ascending", float(v_in), float(v_out))
-        for v_in, v_out in zip(loop.descending_input, loop.descending_output):
-            yield ("descending", float(v_in), float(v_out))
-
-    write_rows(path, ("direction", "v_in", "v_out"), rows())
+    n_up, n_down = loop.ascending_input.size, loop.descending_input.size
+    v_in = np.concatenate((loop.ascending_input, loop.descending_input), dtype=np.float64)
+    v_out = np.concatenate((loop.ascending_output, loop.descending_output), dtype=np.float64)
+    write_rows(path, ("direction", "v_in", "v_out"),
+               (["ascending"] * n_up + ["descending"] * n_down, v_in, v_out))
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
     write_rows(
         path,
         ("sigma_v", "snr_mean_db", "snr_std_db", "repeats"),
-        (
-            (float(s), float(m), float(d), sweep.repeats)
-            for s, m, d in zip(sweep.sigmas, sweep.snr_mean_db, sweep.snr_std_db)
-        ),
+        (sweep.sigmas, sweep.snr_mean_db, sweep.snr_std_db,
+         [sweep.repeats] * sweep.sigmas.size),
     )
 
 
@@ -94,10 +110,7 @@ def write_freq_table_csv(path, reports) -> None:
     write_rows(
         path,
         ("f_true_hz", "f_est_hz", "error_pct", "detected_bool", "sigma_v", "seed"),
-        (
-            (r.f_true, r.f_est, r.error_pct, r.detected, r.sigma, r.seed)
-            for r in reports
-        ),
+        _columns(reports, "f_true", "f_est", "error_pct", "detected", "sigma", "seed"),
     )
 
 
@@ -105,10 +118,7 @@ def write_t0_curve_csv(path, curve) -> None:
     write_rows(
         path,
         ("sigma_v", "mean_t0_s", "std_t0_s", "n_runs", "n_no_transition"),
-        (
-            (s.sigma, s.mean_t0, s.std_t0, s.n_runs, s.n_no_transition)
-            for s in curve
-        ),
+        _columns(curve, "sigma", "mean_t0", "std_t0", "n_runs", "n_no_transition"),
     )
 
 
@@ -141,10 +151,12 @@ def read_t0_curve_csv(path) -> list[T0Stats]:
 def write_fits_csv(path, fits) -> None:
     """One row per (decay, SigmoidFit) pair, in the order given; a decay of
     None (unlabelled curve) leaves its cell empty."""
+    fits = list(fits)
     write_rows(
         path,
         ("decay_b", "slope_a", "center_b", "r2"),
-        ((b, f.slope_a, f.center_b, f.r_squared) for b, f in fits),
+        [[b for b, _ in fits],
+         *_columns((f for _, f in fits), "slope_a", "center_b", "r_squared")],
     )
 
 
@@ -152,10 +164,9 @@ def write_bank_csv(path, report: BankReport) -> None:
     write_rows(
         path,
         ("idx", "threshold_v", "sigma_v", "transition_rate_hz", "resonating", "f_est_hz"),
-        (
-            (i, r.threshold, r.sigma, r.transition_rate_hz, r.resonating, r.f_est)
-            for i, r in enumerate(report.results)
-        ),
+        [range(len(report.results)),
+         *_columns(report.results, "threshold", "sigma", "transition_rate_hz",
+                   "resonating", "f_est")],
     )
 
 

@@ -168,10 +168,6 @@ class FreqErrorSummary:
     n_detected: int
     n_runs: int
 
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.n_detected / self.n_runs
-
 
 def summarize_error_table(reports) -> list[FreqErrorSummary]:
     """Group reports by true frequency: mean error over detected runs (None

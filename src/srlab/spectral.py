@@ -41,9 +41,6 @@ class Spectrum:
         if not np.all(np.isfinite(self.mag_db)):
             raise ValueError("mag_db must be finite")
 
-    def freqs(self) -> np.ndarray:
-        return self.df * np.arange(self.mag_db.size)
-
     @property
     def nyquist(self) -> float:
         return self.df * (self.mag_db.size - 1)
@@ -96,9 +93,8 @@ def second_peak_frequency(
         raise ValueError(f"dc_guard_hz must be finite and >= 0, got {dc_guard_hz}")
     mags = spectrum.mag_db
     df = spectrum.df
-    # The first bin k >= 1 with df * k > dc_guard_hz, the product freqs()
-    # compares; the floor of the quotient never passes it and falls at most
-    # two bins short.
+    # The first bin k >= 1 whose frequency df * k exceeds dc_guard_hz; the
+    # floor of the quotient never passes it and falls at most two bins short.
     lo = max(1, math.floor(min(dc_guard_hz / df, mags.size)))
     while lo < mags.size and not df * lo > dc_guard_hz:
         lo += 1

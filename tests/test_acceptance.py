@@ -180,7 +180,8 @@ def test_criterion_04_frequency_detection_table(report):
     by_f = {s.f_true: s for s in summarize_error_table(reports)}
     accurate = all(by_f[f].mean_error_pct <= 1.0 for f in (500.0, 1000.0, 2000.0))
     ordered = by_f[50.0].mean_error_pct > by_f[500.0].mean_error_pct
-    missed = by_f[10.0].miss_rate >= 0.5
+    miss_rate_10 = 1.0 - by_f[10.0].n_detected / by_f[10.0].n_runs
+    missed = miss_rate_10 >= 0.5
     ok = accurate and ordered and missed and elapsed < 60.0
     report(
         4,
@@ -189,7 +190,7 @@ def test_criterion_04_frequency_detection_table(report):
         + " ".join(
             f"{int(f)}Hz={by_f[f].mean_error_pct:.3f}%" for f in (50.0, 500.0, 1000.0, 2000.0)
         )
-        + f", 10 Hz miss rate {by_f[10.0].miss_rate:.0%}, {elapsed:.1f} s",
+        + f", 10 Hz miss rate {miss_rate_10:.0%}, {elapsed:.1f} s",
     )
 
 

@@ -49,7 +49,6 @@ class TestThresholdGap:
 
     def test_grid_accessors(self):
         gap = ThresholdGap(np.zeros(5), dt=0.25)
-        assert gap.total_time == 1.0
         np.testing.assert_allclose(gap.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_envelope_gap_formula(self):
@@ -120,9 +119,10 @@ class TestExpectedT0:
     def test_sigma_limits(self):
         gap = envelope_gap(CFG4, DRIVE, 5000.0, 1.5)
         # starved: essentially no crossings, mean near zero
-        assert expected_t0_theory(gap, 1e-3) < 0.01 * gap.total_time
+        window = gap.times()[-1]
+        assert expected_t0_theory(gap, 1e-3) < 0.01 * window
         # swamped: the last transition rides out to the end of the window
-        assert expected_t0_theory(gap, 5.0) > 0.9 * gap.total_time
+        assert expected_t0_theory(gap, 5.0) > 0.9 * window
         # interior level sits between the extremes
         mid = expected_t0_theory(gap, 0.05)
         assert 0.0 < mid < expected_t0_theory(gap, 5.0)
@@ -285,10 +285,6 @@ class TestSigmoidFit:
         flat = _stats_from_xy(self.X, np.zeros_like(self.X))
         with pytest.raises(FitError):
             fit_sigmoid(flat, float_plateau=True)
-
-    def test_predict_roundtrip(self):
-        fit = SigmoidFit(20.0, 0.2, 1.5, 1.0, 0.0, 0.0)
-        np.testing.assert_allclose(fit.predict(self.X), _sigmoid(self.X, 20.0, 0.2))
 
     def test_fit_object_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from srlab.amp_detect import T0Stats
-from srlab.cli import COMMANDS, main, parse_grid, resolve_params
+from srlab.cli import COMMANDS, build_parser, main, parse_grid, resolve_params
 from srlab.csvio import read_manifest, write_t0_curve_csv
 
 
@@ -224,6 +224,23 @@ class TestExitCodes:
              "--out-dir", str(tmp_path)]
         )
         assert rc == 2
+
+
+class TestParser:
+    def test_built_once_and_unchanged_by_use(self, tmp_path, capsys):
+        build_parser.cache_clear()
+        assert main(["hysteresis", "--points", "11", "--out-dir", str(tmp_path)]) == 0
+        assert main(["reproduce", "fig8", "--out-dir", str(tmp_path)]) == 0
+        assert build_parser.cache_info().misses == 1
+        fresh = build_parser.__wrapped__()
+        for argv in (["--help"], ["hysteresis", "--help"], ["reproduce", "--help"]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit):
+                main(argv)
+            cached = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                fresh.parse_args(argv)
+            assert cached == capsys.readouterr().out
 
 
 class TestArtifacts:

@@ -1,15 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from srlab.amp_detect import SigmoidFit, T0Stats
 from srlab.bank import BankReport, DetectorResult
 from srlab.csvio import (
+    _BLOCK,
     _cell,
     read_manifest,
     read_t0_curve_csv,
     write_bank_csv,
     write_fits_csv,
     write_freq_table_csv,
+    write_hysteresis_csv,
     write_manifest,
     write_rows,
     write_t0_curve_csv,
@@ -17,6 +21,7 @@ from srlab.csvio import (
 )
 from srlab.freq_detect import FreqDetectReport
 from srlab.signals import Trace
+from srlab.trigger import HysteresisLoop, SwitchList
 
 
 class TestCellFormat:
@@ -51,9 +56,17 @@ class TestCellFormat:
 class TestByteContract:
     def test_lf_endings_header_and_trailing_newline(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_rows(path, ("a", "b"), [(1, 2.5), (None, True)])
+        write_rows(path, ("a", "b"), ([1, None], [2.5, True]))
         raw = path.read_bytes()
         assert raw == b"a,b\n1,2.5\n,true\n"
+
+    def test_columns_must_match_header_and_each_other(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError):
+            write_rows(path, ("a", "b"), ([1, 2], [3]))
+        with pytest.raises(ValueError):
+            write_rows(path, ("a", "b"), ([1, 2],))
+        assert not path.exists()
 
     def test_identical_input_identical_bytes(self, tmp_path):
         tr = Trace(1e-4, np.array([0.0, 0.5, -0.5]))
@@ -72,6 +85,46 @@ class TestByteContract:
         rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
         back = np.array([[float(v) for v in r[1:]] for r in rows])
         np.testing.assert_array_equal(back, np.column_stack([samples, -samples, samples]))
+
+
+class TestGoldenBytes:
+    """Digests recorded with the earlier row-by-row writer.  A replay
+    compares a run with itself through the same writer, so only digests
+    fixed in advance catch a change that moves every CSV alike.  Inputs are
+    built from exact arithmetic only (no transcendental functions) and span
+    three write blocks."""
+
+    @staticmethod
+    def _sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_waveforms(self, tmp_path):
+        n, dt = 10_000, 1 / 20000.0
+        assert n > 2 * _BLOCK
+        k = np.arange(n)
+        path = tmp_path / "waveforms.csv"
+        write_waveforms_csv(
+            path,
+            Trace(dt, k / 7.0),
+            Trace(dt, (k - 5000) / -3e7),  # -0.0 at k = 5000, e-05 and e-08 forms
+            SwitchList(dt, n, True, np.arange(3, n, 7), 5.0, -5.0),
+        )
+        assert self._sha256(path) == (
+            "92fc0979778864e01a307d0e91e24de1c287be0f5cf1d4cde12497088a0faddb"
+        )
+
+    def test_hysteresis(self, tmp_path):
+        m = 5_000
+        assert 2 * m > 2 * _BLOCK
+        j = np.arange(m)
+        up = j / 7.0 - 300.0
+        loop = HysteresisLoop(up, np.where(j < 2400, 5.0, -5.0), up[::-1].copy(),
+                              np.where(j < 2600, -5.0, 5.0), None, None)
+        path = tmp_path / "hysteresis.csv"
+        write_hysteresis_csv(path, loop)
+        assert self._sha256(path) == (
+            "cb0fbcbb8f969bd644adaa16edf31c7d1a686512a702d0660fc75e7573d23cf2"
+        )
 
 
 class TestFreqTable:

@@ -6,7 +6,9 @@
   of the dense output's first difference;
 - generate_noise against the index-gather zero-order hold;
 - second_peak_frequency's selection median and first-bin guard against
-  np.median over a mask built from freqs().
+  np.median over a mask built from the bin frequencies df * arange(n);
+- csvio.write_rows, which formats float64 columns in blocks, against the
+  row-by-row writer with one _cell call per value.
 
 The oracles stay here as plain loops and formulas.  Equality is byte
 equality: the fast paths must not move a single output bit.
@@ -19,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from srlab.amp_detect import last_transition_time  # noqa: E402
+from srlab.csvio import _BLOCK, _cell, write_rows  # noqa: E402
 from srlab.freq_detect import transition_spectrum  # noqa: E402
 from srlab.noise import CLIP_V, NoiseSpec, generate_noise, noise_stream  # noqa: E402
 from srlab.signals import Trace, n_samples_for  # noqa: E402
@@ -208,11 +211,11 @@ class TestNoiseHold:
 
 
 def masked_second_peak_frequency(spectrum, dc_guard_hz=None):
-    """Peak picking with np.median and a guard mask over freqs()."""
+    """Peak picking with np.median and a guard mask over the bin frequencies."""
     if dc_guard_hz is None:
         dc_guard_hz = 2.0 * spectrum.df
     mags = spectrum.mag_db
-    freqs = spectrum.freqs()
+    freqs = spectrum.df * np.arange(mags.size)
     candidates = np.zeros(mags.size, dtype=bool)
     candidates[1:-1] = (mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])
     candidates &= freqs > dc_guard_hz
@@ -270,3 +273,70 @@ class TestSecondPeakSelection:
         want = masked_second_peak_frequency(spectrum, guard)
         assert type(got) is type(want)
         assert got == want
+
+
+def rowwise_write_rows(path, header, rows):
+    """The row-by-row writer: one _cell call per value, one string per file."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_cell(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+# Signed zeros, infinities, NaN, the subnormal range and the values where
+# repr switches between positional and exponent form (1e16 and 1e-4).
+EDGE_FLOATS = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324,
+               2.225073858507201e-308, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+               1e-05, 9.999999999999999e-05, 0.0001, 0.1, 1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+_OTHERS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), _FLOATS,
+    st.text("abc xyz-_.", max_size=5),
+    st.lists(st.one_of(st.none(), st.booleans(), st.integers(-9, 9), _FLOATS), max_size=3),
+    _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+)
+_MIXED = [None, True, 3, [0.5, None], np.float64(-0.0), np.bool_(False), "a b"]
+# How a column's pool of values becomes a column of n values.
+_KINDS = {
+    "float64 array": lambda pool, idx: np.asarray(pool, dtype=np.float64)[idx],
+    "float32 array": lambda pool, idx: np.asarray(pool, dtype=np.float32)[idx],
+    "int64 array": lambda pool, idx: np.asarray(pool, dtype=np.int64)[idx],
+    "list": lambda pool, idx: [pool[i] for i in idx.tolist()],
+}
+_POOLS = {
+    "float64 array": st.lists(_FLOATS, min_size=1, max_size=20),
+    "float32 array": st.lists(st.floats(width=32), min_size=1, max_size=20),
+    "int64 array": st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=20),
+    "list": st.lists(_OTHERS, min_size=1, max_size=20),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and its columns: 0, 1 or a block's edge of rows, each column
+    a float64, float32 or int64 array or a list of mixed values, drawn from
+    a small pool in a random order."""
+    n = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(_KINDS)))
+        pool = draw(_POOLS[kind])
+        columns.append(_KINDS[kind](pool, rng.integers(len(pool), size=n)))
+    header = [f"c{i}" for i in range(len(columns))]
+    return header, columns
+
+
+class TestColumnWriter:
+    @settings(PROPERTY, max_examples=60)
+    @given(table=csv_tables())
+    @example(table=(["x", "mixed"],
+                    [np.resize(np.asarray(EDGE_FLOATS), 2 * _BLOCK + 1),
+                     [_MIXED[i % len(_MIXED)] for i in range(2 * _BLOCK + 1)]]))
+    def test_same_bytes_as_rowwise_writer(self, table, tmp_path_factory):
+        header, columns = table
+        out = tmp_path_factory.mktemp("csv")
+        write_rows(out / "columns.csv", header, columns)
+        rowwise_write_rows(out / "rows.csv", header, zip(*columns))
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()

@@ -31,9 +31,8 @@ class TestSpectrum:
             with pytest.raises(ValueError):
                 Spectrum(df=1.0, mag_db=mags, n_samples=20)
 
-    def test_freqs_and_nyquist(self):
+    def test_nyquist(self):
         spec = Spectrum(df=2.5, mag_db=np.zeros(11), n_samples=20)
-        np.testing.assert_allclose(spec.freqs(), 2.5 * np.arange(11))
         assert spec.nyquist == 25.0
 
 
