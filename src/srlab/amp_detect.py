@@ -201,7 +201,8 @@ def _t0_stats(trigger_config, signal, sigma, n_runs, seed_base, sample_rate, dur
         seed=seed_base,
     )
     cells = [(trigger_config, spec, stream_base + r) for r in range(n_runs)]
-    t0s = np.asarray(simulate(signal, cells, sample_rate, duration, last_transition_time))
+    t0s = np.asarray(simulate(signal, cells, sample_rate, duration,
+                              lambda outs: [last_transition_time(out) for out in outs]))
     return T0Stats(
         sigma=float(sigma),
         mean_t0=float(t0s.mean()),

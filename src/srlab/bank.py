@@ -22,11 +22,10 @@ from collections import Counter
 import numpy as np
 
 from srlab.experiments import simulate
-from srlab.freq_detect import transition_spectrum
 from srlab.noise import NoiseSpec
 from srlab.signals import SignalSpec, generate
-from srlab.spectral import second_peak_frequency
-from srlab.trigger import TriggerConfig, transition_count
+from srlab.spectral import SpectrumBlock, second_peak_frequency
+from srlab.trigger import SwitchList, TriggerConfig, transition_count
 
 
 @dataclass(frozen=True)
@@ -130,14 +129,21 @@ def run_bank(
     (channel i uses stream i of seed_base); records each channel's
     transition rate, resonance flag, and spectral frequency estimate."""
     signal = generate(signal_spec, sample_rate, duration)
+    block = SpectrumBlock(signal, len(bank.detectors))
+    return _bank_run(bank, signal, block, sample_rate, duration, seed_base, noise_rate)
+
+
+def _bank_run(bank, signal, block, sample_rate, duration, seed_base, noise_rate) -> BankReport:
+    # run_bank on a drive and spectrum buffers made once by the caller
     noise_rate = noise_rate if noise_rate is not None else sample_rate
     cells = [(det.config, NoiseSpec(det.sigma, noise_rate, seed=seed_base), i)
              for i, det in enumerate(bank.detectors)]
-    outcomes = simulate(
-        signal, cells, sample_rate, duration,
-        lambda out: (transition_count(out) / duration,
-                     second_peak_frequency(transition_spectrum(out))),
-    )
+
+    def reduce(outs):
+        f_ests = second_peak_frequency(block.spectrum(outs, SwitchList.write_transitions))
+        return [(transition_count(out) / duration, f_est) for out, f_est in zip(outs, f_ests)]
+
+    outcomes = simulate(signal, cells, sample_rate, duration, reduce)
     return BankReport(results=[
         DetectorResult(
             threshold=det.config.v_ut,
@@ -198,11 +204,10 @@ def vote_bank(
     seed_bases = list(seed_bases)
     if not seed_bases:
         raise ValueError("need at least one seed base to vote over")
-    reports = [
-        run_bank(bank, signal_spec, sample_rate, duration, seed_base=s,
-                 noise_rate=noise_rate)
-        for s in seed_bases
-    ]
+    signal = generate(signal_spec, sample_rate, duration)
+    block = SpectrumBlock(signal, len(bank.detectors))
+    reports = [_bank_run(bank, signal, block, sample_rate, duration, s, noise_rate)
+               for s in seed_bases]
     voted = []
     for i in range(len(bank.detectors)):
         rows = [rep.results[i] for rep in reports]

@@ -18,7 +18,7 @@ import numpy as np
 
 from srlab.noise import NoiseSpec, generate_noise
 from srlab.signals import SignalSpec, Trace, generate
-from srlab.spectral import periodogram, snr_db
+from srlab.spectral import SpectrumBlock, block_rows, signal_bin, snr_db
 from srlab.trigger import SwitchList, TriggerConfig, run
 
 
@@ -56,14 +56,23 @@ class SweepResult:
 def simulate(signal: Trace, cells, sample_rate: float, duration: float, reduce) -> list:
     """The Monte-Carlo step of every experiment: for each cell
     (trigger_config, noise_spec, stream), drive the comparator with signal
-    plus the noise of (noise_spec.seed, stream) and reduce its output, a
-    trigger.SwitchList, to one result.  Results come back in cell order;
-    the caller picks every cell's address, so each experiment keeps its own
-    stream layout."""
-    results = []
+    plus the noise of (noise_spec.seed, stream).  The outputs, each a
+    trigger.SwitchList, go to reduce a block at a time, and reduce returns
+    one result per output.  A block holds max(1, BLOCK_SAMPLES // n)
+    outputs (block_rows), so a spectral reducer takes the block's spectra
+    in one FFT, and runs of BLOCK_SAMPLES samples or more are reduced one
+    at a time.  Results come back in cell order; the caller picks every
+    cell's address, so each experiment keeps its own stream layout."""
+    size = block_rows(signal.n_samples)
+    results, block = [], []
     for config, spec, stream in cells:
         noise = generate_noise(spec, sample_rate, duration, stream=stream)
-        results.append(reduce(run(config, signal, noise)))
+        block.append(run(config, signal, noise))
+        if len(block) == size:
+            results.extend(reduce(block))
+            block = []
+    if block:
+        results.extend(reduce(block))
     return results
 
 
@@ -103,9 +112,11 @@ def snr_sigma_sweep(
     specs = [replace(noise_template, sigma=float(sigma)) for sigma in sigmas]
     cells = [(trigger_config, spec, i * repeats + r)
              for i, spec in enumerate(specs) for r in range(repeats)]
+    block = SpectrumBlock(signal, len(cells))
+    signal_bin(block.df, block.n_samples, f_signal)  # refused before any noise is drawn
     snrs = np.reshape(
         simulate(signal, cells, sample_rate, duration,
-                 lambda out: snr_db(periodogram(out), f_signal)),
+                 lambda outs: snr_db(block.spectrum(outs, SwitchList.write_samples), f_signal)),
         (sigmas.size, repeats),
     )
     return SweepResult(

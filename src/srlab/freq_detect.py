@@ -22,7 +22,7 @@ import numpy as np
 from srlab.experiments import SweepResult, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
-from srlab.spectral import Spectrum, periodogram, second_peak_frequency
+from srlab.spectral import Spectrum, SpectrumBlock, periodogram, second_peak_frequency
 from srlab.trigger import SwitchList, TriggerConfig
 
 
@@ -74,16 +74,32 @@ class DetectionSetup:
 
 
 def transition_spectrum(output: SwitchList) -> Spectrum:
-    """Spectrum of the output's transition train: the first difference of
-    the level trace (first sample zero so the length is unchanged), which is
-    an impulse of one rail step at each switch, alternating in sign."""
-    fall = output.v_sat_neg - output.v_sat_pos
-    rise = output.v_sat_pos - output.v_sat_neg
-    first, second = (fall, rise) if output.first_high else (rise, fall)
-    diff = np.zeros(output.n_samples)
-    diff[output.switches[0::2]] = first
-    diff[output.switches[1::2]] = second
-    return periodogram(Trace(dt=output.dt, samples=diff))
+    """Spectrum of the output's transition train (SwitchList.write_transitions),
+    the one-row case of the detectors' block spectra."""
+    return periodogram(Trace(dt=output.dt, samples=output.write_transitions(
+        np.empty(output.n_samples))))
+
+
+def _detect_runs(trigger_config, damped, signal, specs, stream, sample_rate, duration,
+                 dc_guard_hz, block) -> list[FreqDetectReport]:
+    # detect_frequency for each noise spec on a drive generated once by the
+    # caller, the spectra taken a block at a time in the caller's buffers
+    f_true = damped.frequency
+    f_ests = simulate(
+        signal, [(trigger_config, spec, stream) for spec in specs], sample_rate, duration,
+        lambda outs: second_peak_frequency(
+            block.spectrum(outs, SwitchList.write_transitions), dc_guard_hz=dc_guard_hz),
+    )
+    return [
+        FreqDetectReport(
+            f_true=f_true,
+            f_est=f_est,
+            error_pct=None if f_est is None else 100.0 * abs(f_est - f_true) / f_true,
+            sigma=spec.sigma,
+            seed=spec.seed,
+        )
+        for spec, f_est in zip(specs, f_ests)
+    ]
 
 
 def detect_frequency(
@@ -104,18 +120,9 @@ def detect_frequency(
     if not isinstance(damped, DampedSine):
         raise ValueError(f"detector expects a damped sinusoid, got {damped!r}")
     signal = generate(damped, sample_rate, duration)
-    [f_est] = simulate(
-        signal, [(trigger_config, noise_spec, stream)], sample_rate, duration,
-        lambda out: second_peak_frequency(transition_spectrum(out), dc_guard_hz=dc_guard_hz),
-    )
-    error = None if f_est is None else 100.0 * abs(f_est - damped.frequency) / damped.frequency
-    return FreqDetectReport(
-        f_true=damped.frequency,
-        f_est=f_est,
-        error_pct=error,
-        sigma=noise_spec.sigma,
-        seed=noise_spec.seed,
-    )
+    [report] = _detect_runs(trigger_config, damped, signal, [noise_spec], stream,
+                            sample_rate, duration, dc_guard_hz, SpectrumBlock(signal, 1))
+    return report
 
 
 def error_rate_table(
@@ -128,34 +135,25 @@ def error_rate_table(
 
     Repeat r of every frequency uses seed base_params.seed_base + r; cells
     of the same repeat differ by stream index, so the table is fully
-    reproducible and every cell independent.  Use summarize_error_table()
-    for the per-frequency aggregate view.
+    reproducible and every cell independent.  Each frequency's drive is
+    generated once, and one set of spectrum buffers serves the whole table.
+    Use summarize_error_table() for the per-frequency aggregate view.
     """
     frequencies = [float(f) for f in frequencies]
     if not frequencies:
         raise ValueError("frequency list is empty")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    reports = []
-    for fi, f in enumerate(frequencies):
-        damped = DampedSine(base_params.amplitude, base_params.decay, f)
-        for r in range(repeats):
-            spec = NoiseSpec(
-                sigma=base_params.sigma,
-                noise_rate=base_params.sample_rate,
-                seed=base_params.seed_base + r,
-            )
-            reports.append(
-                detect_frequency(
-                    trigger_config,
-                    damped,
-                    spec,
-                    base_params.sample_rate,
-                    base_params.duration,
-                    dc_guard_hz=base_params.dc_guard_hz,
-                    stream=fi,
-                )
-            )
+    p = base_params
+    drives = [DampedSine(p.amplitude, p.decay, f) for f in frequencies]
+    specs = [NoiseSpec(sigma=p.sigma, noise_rate=p.sample_rate, seed=p.seed_base + r)
+             for r in range(repeats)]
+    reports, block = [], None
+    for fi, damped in enumerate(drives):
+        signal = generate(damped, p.sample_rate, p.duration)
+        block = block or SpectrumBlock(signal, repeats)
+        reports += _detect_runs(trigger_config, damped, signal, specs, fi, p.sample_rate,
+                                p.duration, p.dc_guard_hz, block)
     return reports
 
 

@@ -169,10 +169,11 @@ class SwitchList:
     sample 0 (first_high: True = v_sat_pos) and the sorted indices >= 1 at
     which the level changes.
 
-    The reducers (transition counts, last-transition times, transition
-    spectra) read the switches directly.  `samples`, the dense two-rail
-    trace, is built on first access and cached, so a SwitchList also serves
-    where a Trace is read (periodograms, waveform CSVs).
+    The reducers (transition counts, last-transition times) read the
+    switches directly; the spectral ones write a dense row into a reused
+    block buffer (write_samples, write_transitions).  `samples`, the dense
+    two-rail trace, is built on first access and cached, so a SwitchList
+    also serves where a Trace is read (periodograms, waveform CSVs).
     """
 
     dt: float
@@ -190,6 +191,25 @@ class SwitchList:
     def samples(self) -> np.ndarray:
         return _rails(self.v_sat_pos, self.v_sat_neg, self.first_high, self.switches,
                       self.n_samples)
+
+    def write_samples(self, out: np.ndarray) -> np.ndarray:
+        """Write the dense two-rail trace into out (n_samples float64)
+        without caching it."""
+        out[...] = _rails(self.v_sat_pos, self.v_sat_neg, self.first_high, self.switches,
+                          self.n_samples)
+        return out
+
+    def write_transitions(self, out: np.ndarray) -> np.ndarray:
+        """Write the transition train into out (n_samples float64): the
+        first difference of the two-rail trace with sample 0 zero, so one
+        rail step at each switch, alternating in sign."""
+        fall = self.v_sat_neg - self.v_sat_pos
+        rise = self.v_sat_pos - self.v_sat_neg
+        first, second = (fall, rise) if self.first_high else (rise, fall)
+        out.fill(0.0)
+        out[self.switches[0::2]] = first
+        out[self.switches[1::2]] = second
+        return out
 
 
 def run(

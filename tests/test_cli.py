@@ -196,6 +196,16 @@ class TestExitCodes:
         assert main([argv[0], "--config", str(config), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["snr-sweep", "optimal-sigma"])
+    def test_sub_bin_frequency_is_config_error(self, tmp_path, command, capsys):
+        # 0.5 Hz over 0.01 s is below half a bin: its nearest bin is DC
+        out = tmp_path / "out"
+        rc = main([command, "--frequency", "0.5", "--duration", "0.01",
+                   "--sigma-grid", "0.01:0.05:0.01", "--repeats", "2", "--out-dir", str(out)])
+        assert rc == 2
+        assert "half a bin" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_maybe_float_refused_by_argparse(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bank", "--min-rate", "abc", "--out-dir", str(tmp_path)])

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import srlab.experiments
 from srlab.experiments import (
     SweepResult,
     capture_transitions,
     find_sr_peak,
+    simulate,
     snr_sigma_sweep,
 )
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import DampedSine, Sine, generate
-from srlab.spectral import periodogram, snr_db
+from srlab.signals import DampedSine, Sine, Trace, generate
+from srlab.spectral import BLOCK_SAMPLES, periodogram, snr_db
 from srlab.trigger import ideal_config, run, transition_count
 
 CFG = ideal_config(1.0, 0.045, 0.5)
@@ -90,6 +92,16 @@ class TestSweep:
         assert len(sw) == 1
         assert np.isfinite(sw.snr_mean_db).all()
 
+    def test_sub_bin_frequency_refused_before_noise_is_drawn(self, monkeypatch):
+        # at 0.01 s a bin is 100 Hz wide, so 0.5 Hz would be read at DC
+        def no_noise(*args, **kwargs):
+            raise AssertionError("noise drawn before the frequency was checked")
+
+        monkeypatch.setattr(srlab.experiments, "generate_noise", no_noise)
+        with pytest.raises(ValueError, match="half a bin"):
+            snr_sigma_sweep(CFG, Sine(0.05, 0.5), NoiseSpec(1.0, 20000.0), [0.01, 0.02],
+                            20000.0, 0.01, repeats=2)
+
     def test_grid_validation(self):
         ns = NoiseSpec(1.0, 20000.0, seed=0)
         with pytest.raises(ValueError):
@@ -98,6 +110,34 @@ class TestSweep:
             snr_sigma_sweep(CFG, SIGNAL, ns, [0.1, 0.05], 20000.0, 0.1)
         with pytest.raises(ValueError):
             snr_sigma_sweep(CFG, SIGNAL, ns, [0.05], 20000.0, 0.1, repeats=0)
+
+class TestSimulate:
+    @pytest.mark.parametrize("n", [1000, 8000, 30000, BLOCK_SAMPLES, BLOCK_SAMPLES + 1])
+    def test_reduce_sees_at_most_one_block(self, n):
+        b = max(1, BLOCK_SAMPLES // n)
+        signal = generate(SIGNAL, 20000.0, n / 20000.0)
+        assert signal.n_samples == n
+        spec = NoiseSpec(0.05, 20000.0, seed=2)
+        cells = [(CFG, spec, stream) for stream in range(2 * b + 1)]
+        sizes = []
+
+        def reduce(outs):
+            sizes.append(len(outs))
+            return [transition_count(out) for out in outs]
+
+        got = simulate(signal, cells, 20000.0, n / 20000.0, reduce)
+        assert all(1 <= size <= b for size in sizes)
+        assert sizes == [b, b, 1]
+        if n > BLOCK_SAMPLES:
+            assert set(sizes) == {1}  # a long run is reduced alone, as before blocks
+        # results come back one per cell, in cell order
+        assert got == [transition_count(run(CFG, signal, generate_noise(
+            spec, 20000.0, n / 20000.0, stream=stream))) for _, _, stream in cells]
+
+    def test_empty_cell_list(self):
+        signal = Trace(1.0 / 20000.0, np.zeros(100))
+        assert simulate(signal, [], 20000.0, 0.005, lambda outs: 1 / 0) == []
+
 
 class TestFindPeak:
     def test_picks_maximum(self):

@@ -8,11 +8,16 @@
 - second_peak_frequency's selection median and first-bin guard against
   np.median over a mask built from the bin frequencies df * arange(n);
 - csvio.write_rows, which formats float64 columns in blocks, against the
-  row-by-row writer with one _cell call per value.
+  row-by-row writer with one _cell call per value;
+- block spectra (one rfft per block of rows into reused buffers) and the
+  sweep, error table and bank vote built on them, against the per-row
+  spectrum, SNR and peak picking that each cell used on its own.
 
 The oracles stay here as plain loops and formulas.  Equality is byte
 equality: the fast paths must not move a single output bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,20 +26,34 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from srlab.amp_detect import last_transition_time  # noqa: E402
+from srlab.bank import BankReport, run_bank, threshold_sweep_bank, vote_bank  # noqa: E402
 from srlab.csvio import _BLOCK, _cell, write_rows  # noqa: E402
-from srlab.freq_detect import transition_spectrum  # noqa: E402
+from srlab.experiments import SweepResult, snr_sigma_sweep  # noqa: E402
+from srlab.freq_detect import (  # noqa: E402
+    DetectionSetup,
+    FreqDetectReport,
+    error_rate_table,
+    transition_spectrum,
+)
 from srlab.noise import CLIP_V, NoiseSpec, generate_noise, noise_stream  # noqa: E402
-from srlab.signals import Trace, n_samples_for  # noqa: E402
+from srlab.signals import DampedSine, Sine, Trace, generate, n_samples_for  # noqa: E402
 from srlab.spectral import (  # noqa: E402
+    BLOCK_SAMPLES,
+    MAG_FLOOR,
     MIN_PROMINENCE_DB,
     Spectrum,
+    SpectrumBlock,
+    block_rows,
     periodogram,
     second_peak_frequency,
+    snr_db,
 )
 from srlab.trigger import (  # noqa: E402
+    SwitchList,
     TriggerConfig,
     TriggerState,
     hysteresis_sweep,
+    ideal_config,
     run,
     step,
     transition_count,
@@ -340,3 +359,158 @@ class TestColumnWriter:
         write_rows(out / "columns.csv", header, columns)
         rowwise_write_rows(out / "rows.csv", header, zip(*columns))
         assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+def rowwise_mag_db(x):
+    """The per-cell spectrum: one rfft call for one row, floored, in dB."""
+    mag = np.abs(np.fft.rfft(x))
+    np.maximum(mag, MAG_FLOOR, out=mag)
+    return 20.0 * np.log10(mag)
+
+
+def rowwise_snr_db(mags, df, f):
+    k = int(round(f / df))
+    return float(mags[k] - float(np.mean(mags)))
+
+
+def rowwise_transitions(output):
+    s = output.samples
+    return np.diff(s, prepend=s[0])
+
+
+def rowwise_peak(output, dc_guard_hz=None):
+    """The per-cell detector: peak of the transition train's own spectrum."""
+    n = output.n_samples
+    return second_peak_frequency(
+        Spectrum(output.sample_rate / n, rowwise_mag_db(rowwise_transitions(output)), n),
+        dc_guard_hz)
+
+
+_DENSE = {"rails": (SwitchList.write_samples, lambda out: out.samples),
+          "transitions": (SwitchList.write_transitions, rowwise_transitions)}
+
+
+@st.composite
+def switch_blocks(draw):
+    """1 to 17 switch lists on one odd or even grid, each with its own
+    switch density (none up to every sample) and starting level."""
+    n = draw(st.one_of(st.integers(4, 40), st.integers(41, 3000)))
+    dt = draw(st.sampled_from([1.0 / 20000.0, 1e-3, 0.3]))
+    v_pos, v_neg = draw(st.sampled_from([(1.0, -1.0), (0.93, -0.915), (4.0, -4.0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    outs = []
+    for _ in range(draw(st.integers(1, 17))):
+        density = rng.choice([0.0, 0.002, 0.05, 0.5, 1.0])
+        switches = np.flatnonzero(rng.random(n - 1) < density) + 1
+        outs.append(SwitchList(dt, n, bool(rng.integers(2)), switches, v_pos, v_neg))
+    return outs
+
+
+class TestBlockSpectra:
+    @PROPERTY
+    @given(switch_blocks(), st.sampled_from(sorted(_DENSE)), st.data())
+    def test_block_equals_rowwise(self, outs, kind, data):
+        write, dense = _DENSE[kind]
+        n, dt = outs[0].n_samples, outs[0].dt
+        df = outs[0].sample_rate / n
+        f = df * data.draw(st.integers(1, n // 2)) + data.draw(st.sampled_from([0.0, -0.3 * df]))
+        guard = data.draw(st.one_of(st.none(), st.floats(0.0, df * n / 2)))
+        block = SpectrumBlock(Trace(dt, np.zeros(n)), len(outs))
+        # a second, shorter block reuses the buffers: no row of the first may leak
+        for part in (outs, outs[::-1][:max(1, len(outs) // 2)]):
+            spectrum = block.spectrum(part, write)
+            snrs = snr_db(spectrum, f)
+            peaks = second_peak_frequency(spectrum, guard)
+            assert spectrum.mag_db.shape == (len(part), n // 2 + 1)
+            for i, out in enumerate(part):
+                want = rowwise_mag_db(dense(out))
+                assert spectrum.mag_db[i].tobytes() == want.tobytes()
+                one = periodogram(Trace(dt, dense(out)))
+                assert one.mag_db.tobytes() == want.tobytes()
+                assert type(snr_db(one, f)) is float
+                assert np.float64(snrs[i]).tobytes() == np.float64(
+                    rowwise_snr_db(want, df, f)).tobytes()
+                assert peaks[i] == second_peak_frequency(one, guard)
+                if kind == "transitions":
+                    assert transition_spectrum(out).mag_db.tobytes() == want.tobytes()
+
+
+def rowwise_sweep(config, signal_spec, template, sigmas, sample_rate, duration, repeats):
+    signal = generate(signal_spec, sample_rate, duration)
+    snrs = np.empty((len(sigmas), repeats))
+    for i, sigma in enumerate(sigmas):
+        for r in range(repeats):
+            out = run(config, signal, generate_noise(
+                replace(template, sigma=sigma), sample_rate, duration, stream=i * repeats + r))
+            snrs[i, r] = rowwise_snr_db(rowwise_mag_db(out.samples),
+                                        out.sample_rate / out.n_samples, signal_spec.frequency)
+    return SweepResult(sigmas, snrs.mean(axis=1), snrs.std(axis=1), repeats, template.seed)
+
+
+def rowwise_error_table(config, frequencies, p, repeats):
+    reports = []
+    for fi, f in enumerate(frequencies):
+        signal = generate(DampedSine(p.amplitude, p.decay, f), p.sample_rate, p.duration)
+        for r in range(repeats):
+            spec = NoiseSpec(p.sigma, p.sample_rate, seed=p.seed_base + r)
+            f_est = rowwise_peak(run(config, signal, generate_noise(
+                spec, p.sample_rate, p.duration, stream=fi)), p.dc_guard_hz)
+            error = None if f_est is None else 100.0 * abs(f_est - f) / f
+            reports.append(FreqDetectReport(f, f_est, error, spec.sigma, spec.seed))
+    return reports
+
+
+def rowwise_bank(bank, signal_spec, sample_rate, duration, seed_base):
+    signal = generate(signal_spec, sample_rate, duration)
+    results = []
+    for i, det in enumerate(bank.detectors):
+        out = run(det.config, signal, generate_noise(
+            NoiseSpec(det.sigma, sample_rate, seed=seed_base), sample_rate, duration, stream=i))
+        rate = transition_count(out) / duration
+        results.append((det.config.v_ut, det.sigma, rate, rate >= bank.min_transition_rate_hz,
+                        rowwise_peak(out)))
+    return results
+
+
+# n = 16 384 puts b = 4 rows in a block, so these counts are 1, b-1, b,
+# b+1 and 2b+1 cells per simulate call.
+B_DURATION = 0.8192
+B = block_rows(n_samples_for(20000.0, B_DURATION))
+CELL_COUNTS = [1, B - 1, B, B + 1, 2 * B + 1]
+
+
+class TestBlockExperiments:
+    def test_block_size(self):
+        assert B == 4 and BLOCK_SAMPLES // 16384 == B
+
+    @pytest.mark.parametrize("levels, repeats", [(1, 1), (1, 3), (2, 2), (1, 5), (3, 3)])
+    def test_sweep(self, levels, repeats):
+        assert levels * repeats in CELL_COUNTS
+        args = (ideal_config(), Sine(0.05, 500.0), NoiseSpec(1.0, 20000.0, seed=3),
+                np.array([0.02, 0.05, 0.1][:levels]), 20000.0, B_DURATION, repeats)
+        got, want = snr_sigma_sweep(*args), rowwise_sweep(*args)
+        for name in ("sigmas", "snr_mean_db", "snr_std_db"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.repeats, got.seed_base) == (want.repeats, want.seed_base)
+
+    @pytest.mark.parametrize("repeats", CELL_COUNTS)
+    def test_error_rate_table(self, repeats):
+        setup = DetectionSetup(duration=B_DURATION, seed_base=11)
+        got = error_rate_table(ideal_config(), [50.0, 500.0], setup, repeats)
+        assert got == rowwise_error_table(ideal_config(), [50.0, 500.0], setup, repeats)
+
+    # A bank has at least two channels, so it has no one-cell case.
+    @pytest.mark.parametrize("channels", CELL_COUNTS[1:])
+    def test_vote_bank(self, channels):
+        bank = threshold_sweep_bank([0.001 * 2**i for i in range(channels)], 0.002, 500.0)
+        tone, seeds = Sine(0.01, 500.0), [4, 5, 6]
+        rows = [rowwise_bank(bank, tone, 20000.0, B_DURATION, s) for s in seeds]
+        for s, want in zip(seeds, rows):
+            report = run_bank(bank, tone, 20000.0, B_DURATION, seed_base=s)
+            assert [tuple(vars(r).values()) for r in report.results] == want
+        voted = vote_bank(bank, tone, 20000.0, B_DURATION, seed_bases=seeds)
+        assert isinstance(voted, BankReport)
+        for i, r in enumerate(voted.results):
+            chan = [row[i] for row in rows]
+            assert r.transition_rate_hz == float(np.mean([c[2] for c in chan]))
+            assert r.resonating == (2 * sum(c[3] for c in chan) > len(chan))

@@ -84,6 +84,14 @@ class TestSnr:
         with pytest.raises(ValueError):
             snr_db(spec, spec.nyquist + 1.0)
 
+    def test_frequency_below_half_a_bin_refused(self):
+        # bin 0 is DC: a drive whose nearest bin it is has no bin of its own
+        spec = _flat_spectrum(-100.0, df=10.0)
+        for f in (0.5, 4.9, 5.0):
+            with pytest.raises(ValueError, match="half a bin"):
+                snr_db(spec, f)
+        assert snr_db(spec, 5.1) == snr_db(spec, 10.0)
+
     def test_noise_floor_snr_near_zero(self):
         # any single bin of a flat spectrum sits at the mean
         spec = _flat_spectrum(-100.0)
