@@ -24,7 +24,7 @@ import numpy as np
 from srlab.experiments import simulate
 from srlab.noise import NoiseSpec
 from srlab.signals import SignalSpec, generate
-from srlab.spectral import SpectrumBlock, second_peak_frequency
+from srlab.spectral import _block_peaks, _SpectrumBlock
 from srlab.trigger import SwitchList, TriggerConfig, transition_count
 
 
@@ -129,7 +129,7 @@ def run_bank(
     (channel i uses stream i of seed_base); records each channel's
     transition rate, resonance flag, and spectral frequency estimate."""
     signal = generate(signal_spec, sample_rate, duration)
-    block = SpectrumBlock(signal, len(bank.detectors))
+    block = _SpectrumBlock(signal, len(bank.detectors))
     return _bank_run(bank, signal, block, sample_rate, duration, seed_base, noise_rate)
 
 
@@ -140,7 +140,7 @@ def _bank_run(bank, signal, block, sample_rate, duration, seed_base, noise_rate)
              for i, det in enumerate(bank.detectors)]
 
     def reduce(outs):
-        f_ests = second_peak_frequency(block.spectrum(outs, SwitchList.write_transitions))
+        f_ests = _block_peaks(block.spectrum(outs, SwitchList.write_transitions))
         return [(transition_count(out) / duration, f_est) for out, f_est in zip(outs, f_ests)]
 
     outcomes = simulate(signal, cells, sample_rate, duration, reduce)
@@ -205,7 +205,7 @@ def vote_bank(
     if not seed_bases:
         raise ValueError("need at least one seed base to vote over")
     signal = generate(signal_spec, sample_rate, duration)
-    block = SpectrumBlock(signal, len(bank.detectors))
+    block = _SpectrumBlock(signal, len(bank.detectors))
     reports = [_bank_run(bank, signal, block, sample_rate, duration, s, noise_rate)
                for s in seed_bases]
     voted = []

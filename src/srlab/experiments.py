@@ -18,7 +18,7 @@ import numpy as np
 
 from srlab.noise import NoiseSpec, generate_noise
 from srlab.signals import SignalSpec, Trace, generate
-from srlab.spectral import SpectrumBlock, block_rows, signal_bin, snr_db
+from srlab.spectral import _SpectrumBlock, block_rows, signal_bin, snr_db
 from srlab.trigger import SwitchList, TriggerConfig, run
 
 
@@ -112,7 +112,7 @@ def snr_sigma_sweep(
     specs = [replace(noise_template, sigma=float(sigma)) for sigma in sigmas]
     cells = [(trigger_config, spec, i * repeats + r)
              for i, spec in enumerate(specs) for r in range(repeats)]
-    block = SpectrumBlock(signal, len(cells))
+    block = _SpectrumBlock(signal, len(cells))
     signal_bin(block.df, block.n_samples, f_signal)  # refused before any noise is drawn
     snrs = np.reshape(
         simulate(signal, cells, sample_rate, duration,

@@ -22,7 +22,7 @@ import numpy as np
 from srlab.experiments import SweepResult, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
-from srlab.spectral import Spectrum, SpectrumBlock, periodogram, second_peak_frequency
+from srlab.spectral import Spectrum, _block_peaks, _SpectrumBlock, periodogram
 from srlab.trigger import SwitchList, TriggerConfig
 
 
@@ -87,8 +87,8 @@ def _detect_runs(trigger_config, damped, signal, specs, stream, sample_rate, dur
     f_true = damped.frequency
     f_ests = simulate(
         signal, [(trigger_config, spec, stream) for spec in specs], sample_rate, duration,
-        lambda outs: second_peak_frequency(
-            block.spectrum(outs, SwitchList.write_transitions), dc_guard_hz=dc_guard_hz),
+        lambda outs: _block_peaks(block.spectrum(outs, SwitchList.write_transitions),
+                                  dc_guard_hz),
     )
     return [
         FreqDetectReport(
@@ -121,7 +121,7 @@ def detect_frequency(
         raise ValueError(f"detector expects a damped sinusoid, got {damped!r}")
     signal = generate(damped, sample_rate, duration)
     [report] = _detect_runs(trigger_config, damped, signal, [noise_spec], stream,
-                            sample_rate, duration, dc_guard_hz, SpectrumBlock(signal, 1))
+                            sample_rate, duration, dc_guard_hz, _SpectrumBlock(signal, 1))
     return report
 
 
@@ -151,7 +151,7 @@ def error_rate_table(
     reports, block = [], None
     for fi, damped in enumerate(drives):
         signal = generate(damped, p.sample_rate, p.duration)
-        block = block or SpectrumBlock(signal, repeats)
+        block = block or _SpectrumBlock(signal, repeats)
         reports += _detect_runs(trigger_config, damped, signal, specs, fi, p.sample_rate,
                                 p.duration, p.dc_guard_hz, block)
     return reports

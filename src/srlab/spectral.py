@@ -8,7 +8,9 @@ Experiments take their spectra a block of rows at a time: one rfft call
 over up to BLOCK_SAMPLES samples costs each row about half of what a call
 of its own does at n = 8 000 (the plan is made once per call), and each
 row of the block gives the same bytes as its own call.  A Spectrum is one
-row or such a block, and snr_db and second_peak_frequency read either.
+row or such a block; snr_db reads either, second_peak_frequency one row.
+The block path pays off while a block holds two rows or more, that is for
+n <= BLOCK_SAMPLES / 2; a longer row is a block of one.
 """
 
 from __future__ import annotations
@@ -74,13 +76,13 @@ def _mag_db(rows: np.ndarray, fft_out=None, out=None) -> np.ndarray:
 
 def periodogram(trace: Trace) -> Spectrum:
     """One-sided magnitude spectrum of a trace (rectangular window, no
-    taper): the one-row case of SpectrumBlock."""
+    taper): the one-row case of the experiments' block spectra."""
     x = trace.samples
     return Spectrum(df=trace.sample_rate / x.size, mag_db=_mag_db(x[np.newaxis])[0],
                     n_samples=x.size)
 
 
-class SpectrumBlock:
+class _SpectrumBlock:
     """Work arrays for the spectra of blocks of rows on a drive's grid, made
     once per experiment call and reused by every block.
 
@@ -111,8 +113,8 @@ class SpectrumBlock:
     def spectrum(self, outputs, write_row) -> Spectrum:
         """Block spectrum of a list of outputs, at most one row each:
         write_row(output, row) fills an output's row, then one FFT covers
-        the block.  Its mag_db is a view of the rows that the next call
-        overwrites."""
+        the block.  Its mag_db is a view of the work array, which the next
+        call overwrites, so the caller reduces it before asking again."""
         count = len(outputs)
         for output, row in zip(outputs, self.rows[:count], strict=True):
             write_row(output, row)
@@ -148,9 +150,9 @@ def snr_db(spectrum: Spectrum, f_signal: float):
     return float(snr) if mags.ndim == 1 else snr
 
 
-def second_peak_frequency(spectrum: Spectrum, dc_guard_hz: float | None = None):
-    """Frequency of the dominant non-DC spectral peak, or None; for a block,
-    a list with one such result per row.
+def second_peak_frequency(spectrum: Spectrum, dc_guard_hz: float | None = None) -> float | None:
+    """Frequency of the dominant non-DC spectral peak of one spectrum, or
+    None.
 
     The spectrum of a switched output always has its largest structure at
     and around 0 Hz, so candidate bins must lie above dc_guard_hz (default
@@ -159,20 +161,30 @@ def second_peak_frequency(spectrum: Spectrum, dc_guard_hz: float | None = None):
     structure).  The winner is the largest candidate; it must clear the
     spectrum's median magnitude by MIN_PROMINENCE_DB.
     """
-    if dc_guard_hz is None:
-        dc_guard_hz = 2.0 * spectrum.df
-    elif not 0.0 <= dc_guard_hz < math.inf:
-        raise ValueError(f"dc_guard_hz must be finite and >= 0, got {dc_guard_hz}")
-    mags = spectrum.mag_db
-    df = spectrum.df
-    size = mags.shape[-1]
+    if spectrum.mag_db.ndim != 1:
+        raise ValueError("second_peak_frequency takes one spectrum, not a block")
+    return _peak_frequency(spectrum.mag_db, spectrum.df, _first_candidate(spectrum, dc_guard_hz))
+
+
+def _block_peaks(block: Spectrum, dc_guard_hz: float | None = None) -> list[float | None]:
+    # second_peak_frequency of every row of a block spectrum
+    lo = _first_candidate(block, dc_guard_hz)
+    return [_peak_frequency(row, block.df, lo) for row in block.mag_db]
+
+
+def _first_candidate(spectrum: Spectrum, dc_guard_hz: float | None) -> int:
     # The first bin k >= 1 whose frequency df * k exceeds dc_guard_hz; the
     # floor of the quotient never passes it and falls at most two bins short.
+    df = spectrum.df
+    if dc_guard_hz is None:
+        dc_guard_hz = 2.0 * df
+    elif not 0.0 <= dc_guard_hz < math.inf:
+        raise ValueError(f"dc_guard_hz must be finite and >= 0, got {dc_guard_hz}")
+    size = spectrum.mag_db.shape[-1]
     lo = max(1, math.floor(min(dc_guard_hz / df, size)))
     while lo < size and not df * lo > dc_guard_hz:
         lo += 1
-    peaks = [_peak_frequency(row, df, lo) for row in np.atleast_2d(mags)]
-    return peaks[0] if mags.ndim == 1 else peaks
+    return lo
 
 
 def _peak_frequency(mags: np.ndarray, df: float, lo: int) -> float | None:

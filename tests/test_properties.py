@@ -42,7 +42,8 @@ from srlab.spectral import (  # noqa: E402
     MAG_FLOOR,
     MIN_PROMINENCE_DB,
     Spectrum,
-    SpectrumBlock,
+    _block_peaks,
+    _SpectrumBlock,
     block_rows,
     periodogram,
     second_peak_frequency,
@@ -415,12 +416,12 @@ class TestBlockSpectra:
         df = outs[0].sample_rate / n
         f = df * data.draw(st.integers(1, n // 2)) + data.draw(st.sampled_from([0.0, -0.3 * df]))
         guard = data.draw(st.one_of(st.none(), st.floats(0.0, df * n / 2)))
-        block = SpectrumBlock(Trace(dt, np.zeros(n)), len(outs))
+        block = _SpectrumBlock(Trace(dt, np.zeros(n)), len(outs))
         # a second, shorter block reuses the buffers: no row of the first may leak
         for part in (outs, outs[::-1][:max(1, len(outs) // 2)]):
             spectrum = block.spectrum(part, write)
             snrs = snr_db(spectrum, f)
-            peaks = second_peak_frequency(spectrum, guard)
+            peaks = _block_peaks(spectrum, guard)
             assert spectrum.mag_db.shape == (len(part), n // 2 + 1)
             for i, out in enumerate(part):
                 want = rowwise_mag_db(dense(out))

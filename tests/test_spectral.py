@@ -135,6 +135,12 @@ class TestSecondPeak:
     def test_flat_spectrum_has_no_peak(self):
         assert second_peak_frequency(_flat_spectrum(-80.0)) is None
 
+    def test_one_spectrum_not_a_block(self):
+        mags = self._with_tone(25, -30.0).mag_db
+        block = Spectrum(df=1.0, mag_db=np.stack([mags, mags]), n_samples=200)
+        with pytest.raises(ValueError, match="not a block"):
+            second_peak_frequency(block)
+
     def test_square_wave_fundamental(self):
         # switched output driven by a super-threshold tone: the dominant
         # non-DC line is the drive frequency
