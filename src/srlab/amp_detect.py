@@ -34,7 +34,7 @@ import numpy as np
 # optimize and interpolate packages would make every `import srlab` take
 # about four times as long and twice the memory, though the sweep,
 # hysteresis, frequency-detection and bank paths never call scipy.
-from srlab.experiments import sigma_grid, simulate
+from srlab.experiments import increasing_grid, simulate
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, envelope, generate, n_samples_for
 from srlab.trigger import SwitchList, TriggerConfig
@@ -99,12 +99,25 @@ def t0_density_grid(gap: ThresholdGap, sigma: float) -> np.ndarray:
 
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    # In place where a step would allocate a fresh grid-sized array, in the
+    # order of 0.5 * (l[1:] + l[:-1]) * dt, cum[-1] - cum and
+    # ndtr(-x) * exp(suffix / dt) / dt, so the bytes are those formulas'.
     x = gap.values / sigma
     ln_hold = log_ndtr(x)
-    steps = 0.5 * (ln_hold[1:] + ln_hold[:-1]) * gap.dt
-    cum = np.concatenate(([0.0], np.cumsum(steps)))
-    suffix = cum[-1] - cum
-    return ndtr(-x) * np.exp(suffix / gap.dt) / gap.dt
+    steps = ln_hold[1:] + ln_hold[:-1]
+    steps *= 0.5
+    steps *= gap.dt
+    suffix = np.empty_like(x)
+    suffix[0] = 0.0
+    np.cumsum(steps, out=suffix[1:])
+    np.subtract(suffix[-1], suffix, out=suffix)
+    suffix /= gap.dt
+    np.exp(suffix, out=suffix)
+    np.negative(x, out=x)
+    dens = ndtr(x, out=x)
+    dens *= suffix
+    dens /= gap.dt
+    return dens
 
 
 def expected_t0_theory(gap: ThresholdGap, sigma: float) -> float:
@@ -116,8 +129,9 @@ def expected_t0_theory(gap: ThresholdGap, sigma: float) -> float:
     there); an endpoint-halving quadrature would drop half of it and bias
     the mean low by ~(window length) * P(last step)/2.
     """
-    dens = t0_density_grid(gap, sigma)
-    return float(np.sum(gap.times() * dens) * gap.dt)
+    mass = gap.times()
+    mass *= t0_density_grid(gap, sigma)
+    return float(np.sum(mass) * gap.dt)
 
 
 def expected_t0_for_config(
@@ -226,7 +240,7 @@ def t0_sigma_curve(
     grid; level i uses streams [i*n_runs, (i+1)*n_runs), so all cells are
     independent and the curve reproducible from (seed_base, config).  The
     drive is generated once for the whole curve."""
-    sigmas = sigma_grid(sigmas)
+    sigmas = increasing_grid(sigmas, "sigma grid")
     signal = generate(damped, sample_rate, duration)
     curve = []
     for i, sigma in enumerate(sigmas):

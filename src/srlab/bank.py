@@ -21,11 +21,11 @@ from collections import Counter
 
 import numpy as np
 
-from srlab.experiments import simulate
+from srlab.experiments import increasing_grid, simulate
 from srlab.noise import NoiseSpec
 from srlab.signals import SignalSpec, generate
 from srlab.spectral import _block_peaks, _SpectrumBlock
-from srlab.trigger import SwitchList, TriggerConfig, transition_count
+from srlab.trigger import SwitchList, TriggerConfig, _symmetric, transition_count
 
 
 @dataclass(frozen=True)
@@ -234,21 +234,11 @@ def threshold_sweep_bank(
     Channels take the raw input directly (no attenuator), so thresholds
     read in the same units as the signal amplitude being bracketed.
     """
-    thresholds = [float(t) for t in thresholds]
-    if len(thresholds) > 1 and not all(
-        a < b for a, b in zip(thresholds, thresholds[1:])
-    ):
-        raise ValueError("thresholds must be strictly increasing")
-    detectors = tuple(
-        Detector(
-            sigma=sigma,
-            config=TriggerConfig(
-                v_sat_pos=1.0, v_sat_neg=-1.0, v_ut=t, v_lt=-t,
-                input_attenuation=1.0,
-            ),
-        )
-        for t in thresholds
-    )
+    # tolist() and float(): DetectorResult fields stay Python floats, whose
+    # repr is the plain number
+    thresholds = increasing_grid(thresholds, "thresholds").tolist()
+    detectors = tuple(Detector(sigma=float(sigma), config=_symmetric(1.0, t, 1.0))
+                      for t in thresholds)
     return BankConfig(detectors=detectors, min_transition_rate_hz=min_transition_rate_hz)
 
 
@@ -260,12 +250,7 @@ def sigma_sweep_bank(
     """Frequency-hunting preset: common symmetric threshold, rails at
     +/-1 V, noise level swept over `sigmas` (strictly increasing); read
     f_est off whichever channels resonate."""
-    sigmas = [float(s) for s in sigmas]
-    if len(sigmas) > 1 and not all(a < b for a, b in zip(sigmas, sigmas[1:])):
-        raise ValueError("sigmas must be strictly increasing")
-    config = TriggerConfig(
-        v_sat_pos=1.0, v_sat_neg=-1.0, v_ut=threshold, v_lt=-threshold,
-        input_attenuation=1.0,
-    )
+    sigmas = increasing_grid(sigmas, "sigmas").tolist()
+    config = _symmetric(1.0, float(threshold), 1.0)
     detectors = tuple(Detector(sigma=s, config=config) for s in sigmas)
     return BankConfig(detectors=detectors, min_transition_rate_hz=min_transition_rate_hz)

@@ -251,6 +251,13 @@ def run_t0_curve(p: dict, out: Path, prefix: str) -> str:
     return f"{len(curve)} noise levels, final mean t0 {curve[-1].mean_t0:.4f} s"
 
 
+def run_fig13(p: dict, out: Path, prefix: str) -> str:
+    summary = run_t0_curve(p, out, prefix)
+    fit = fit_sigmoid(read_t0_curve_csv(out / f"{prefix}.csv"), plateau_T=p["duration"])
+    write_fits_csv(out / f"{prefix}_fit.csv", [(p["decay"], fit)])
+    return f"{summary}; sigmoid r2 {fit.r_squared:.4f}"
+
+
 def run_fit_sigmoid(p: dict, out: Path, prefix: str) -> str:
     curve = read_t0_curve_csv(p["input"])
     fit = fit_sigmoid(curve, plateau_T=p["plateau"], float_plateau=p["float_plateau"])
@@ -421,7 +428,8 @@ COMMANDS = {
     }, run_bank_cmd),
 }
 
-# Preset -> (table, runner); fig8 alone runs no subcommand's defaults.
+# Preset -> (table, runner); fig8 runs no subcommand's defaults, and fig13
+# fits the t0 curve it writes.
 PRESETS = {
     "fig4": COMMANDS["transitions"],
     "fig5": COMMANDS["snr-sweep"],
@@ -430,7 +438,7 @@ PRESETS = {
              run_threshold_law),
     "table1": COMMANDS["freq-table"],
     "fig12": COMMANDS["optimal-sigma"],
-    "fig13": COMMANDS["t0-curve"],
+    "fig13": (COMMANDS["t0-curve"][0], run_fig13),
 }
 
 # (setting, value) -> parameters that value never reads.  Giving one of them
@@ -491,10 +499,6 @@ def _dispatch(args) -> str:
                                  f"{n} = {config[n]} would be ignored")
     out = Path(args.out_dir)
     summary = runner(params, out, prefix)
-    if prefix == "fig13":
-        fit = fit_sigmoid(read_t0_curve_csv(out / "fig13.csv"), plateau_T=params["duration"])
-        write_fits_csv(out / "fig13_fit.csv", [(params["decay"], fit)])
-        summary += f"; sigmoid r2 {fit.r_squared:.4f}"
     # a subcommand's key is "subcommand" itself, so its manifest has no preset
     manifest = {"subcommand": args.command, key: name, **params, "version": srlab.__version__}
     write_manifest(out / f"{prefix}_manifest.ini", manifest)

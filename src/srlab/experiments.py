@@ -76,15 +76,15 @@ def simulate(signal: Trace, cells, sample_rate: float, duration: float, reduce) 
     return results
 
 
-def sigma_grid(sigmas) -> np.ndarray:
-    """A noise-level grid as a float64 array; refuses an empty grid and one
-    that is not strictly increasing."""
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if sigmas.size == 0:
-        raise ValueError("sigma grid is empty")
-    if sigmas.size > 1 and not np.all(np.diff(sigmas) > 0.0):
-        raise ValueError("sigma grid must be strictly increasing")
-    return sigmas
+def increasing_grid(values, name: str) -> np.ndarray:
+    """A grid of noise levels or thresholds as a float64 array; refuses an
+    empty grid and one that is not strictly increasing, naming it `name`."""
+    grid = np.asarray(values, dtype=np.float64)
+    if grid.size == 0:
+        raise ValueError(f"{name} is empty")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
 
 
 def snr_sigma_sweep(
@@ -104,7 +104,7 @@ def snr_sigma_sweep(
     sigma and repeat sees an independent noise realization while the whole
     sweep stays a pure function of (inputs, seed).
     """
-    sigmas = sigma_grid(sigmas)
+    sigmas = increasing_grid(sigmas, "sigma grid")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     f_signal = signal_spec.frequency

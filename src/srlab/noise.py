@@ -26,7 +26,8 @@ class NoiseSpec:
     sigma       standard deviation of the raw draws, volts
     noise_rate  rate at which fresh values are drawn, Hz; samples between
                 draws repeat the previous value (zero-order hold)
-    seed        base seed; combined with a stream index at generation time
+    seed        base seed in [0, 2**64); combined with a stream index at
+                generation time
     """
 
     sigma: float
@@ -38,11 +39,21 @@ class NoiseSpec:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 < self.noise_rate < math.inf:
             raise ValueError(f"noise_rate must be finite and > 0, got {self.noise_rate}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    # Seeds are 64-bit: one outside is refused here rather than wrapped onto
+    # an in-range seed or handed to SeedSequence.
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def noise_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, stream); same pair, same draws."""
-    ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(int(stream),))
+    """Independent generator for (seed, stream); same pair, same draws.
+    seed must lie in [0, 2**64)."""
+    _check_seed(seed)
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -105,21 +105,27 @@ def generate(spec: SignalSpec, sample_rate: float, duration: float) -> Trace:
 
     Each sample is the closed-form value of the waveform at its grid time;
     the same (spec, sample_rate, duration) always yields a bit-identical
-    trace.
+    trace.  A frequency above sample_rate / 2 is refused: its samples alias
+    to a lower tone (at sample_rate, to zero at every sample).
     """
     n = n_samples_for(sample_rate, duration)
+    if not isinstance(spec, (Sine, DampedSine)):
+        raise ValueError(f"unsupported signal spec: {spec!r}")
+    if spec.frequency > sample_rate / 2.0:
+        raise ValueError(
+            f"frequency {spec.frequency} Hz is above the Nyquist frequency "
+            f"{sample_rate / 2.0} Hz of sampling at {sample_rate} Hz"
+        )
     dt = 1.0 / sample_rate
     t = dt * np.arange(n)
     if isinstance(spec, Sine):
         samples = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
-    elif isinstance(spec, DampedSine):
+    else:
         samples = (
             spec.amplitude
             * np.exp(-spec.decay * t)
             * np.sin(2.0 * math.pi * spec.frequency * t)
         )
-    else:
-        raise ValueError(f"unsupported signal spec: {spec!r}")
     return Trace(dt=dt, samples=samples)
 
 

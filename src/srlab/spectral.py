@@ -59,10 +59,6 @@ class Spectrum:
         if not np.all(np.isfinite(self.mag_db)):
             raise ValueError("mag_db must be finite")
 
-    @property
-    def nyquist(self) -> float:
-        return self.df * (self.mag_db.shape[-1] - 1)
-
 
 def _mag_db(rows: np.ndarray, fft_out=None, out=None) -> np.ndarray:
     """20*log10(|X_k|) of every row of a 2-D array, |X_k| clamped below by

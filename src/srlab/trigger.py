@@ -57,9 +57,6 @@ class TriggerConfig:
                 f"input_attenuation must be in (0, 1], got {self.input_attenuation}"
             )
 
-    def output(self, state: TriggerState) -> float:
-        return self.v_sat_pos if state is TriggerState.HIGH else self.v_sat_neg
-
 
 def thresholds_from_divider(v_sat: float, ratio: float) -> tuple[float, float]:
     """Symmetric thresholds (+v_sat*ratio, -v_sat*ratio) from the feedback
@@ -84,18 +81,18 @@ def v_th_from_vdc(v_dc: float) -> float:
     return round(0.051 * v_dc - 0.005, 12)
 
 
+def _symmetric(v_sat: float, v_th: float, input_attenuation: float) -> TriggerConfig:
+    # The one comparator every law and bank uses: rails at +/-v_sat and
+    # thresholds at +/-v_th.
+    return TriggerConfig(v_sat, -v_sat, v_th, -v_th, input_attenuation)
+
+
 def ideal_config(
     v_dc: float = 1.0, ratio: float = 0.045, input_attenuation: float = 0.5
 ) -> TriggerConfig:
     """Config with divider-law thresholds and rails at +/-v_dc."""
-    v_ut, v_lt = thresholds_from_divider(v_dc, ratio)
-    return TriggerConfig(
-        v_sat_pos=v_dc,
-        v_sat_neg=-v_dc,
-        v_ut=v_ut,
-        v_lt=v_lt,
-        input_attenuation=input_attenuation,
-    )
+    v_th, _ = thresholds_from_divider(v_dc, ratio)
+    return _symmetric(v_dc, v_th, input_attenuation)
 
 
 def calibrated_config(v_dc: float, input_attenuation: float = 0.5) -> TriggerConfig:
@@ -104,13 +101,7 @@ def calibrated_config(v_dc: float, input_attenuation: float = 0.5) -> TriggerCon
     v_th = v_th_from_vdc(v_dc)
     if v_th <= 0.0:
         raise ValueError(f"calibration gives non-positive threshold at v_dc={v_dc}")
-    return TriggerConfig(
-        v_sat_pos=v_dc,
-        v_sat_neg=-v_dc,
-        v_ut=v_th,
-        v_lt=-v_th,
-        input_attenuation=input_attenuation,
-    )
+    return _symmetric(v_dc, v_th, input_attenuation)
 
 
 def step(config: TriggerConfig, state: TriggerState, v_n: float) -> TriggerState:
@@ -226,7 +217,8 @@ def run(
         raise ValueError(
             f"signal and noise length differ: {signal.n_samples} vs {noise.n_samples}"
         )
-    v_n = config.input_attenuation * (signal.samples + noise.samples)
+    v_n = signal.samples + noise.samples
+    v_n *= config.input_attenuation  # in place: a fresh n-sample array costs page faults
     first_high, switches = _switches(
         v_n, config.v_ut, config.v_lt, initial is TriggerState.HIGH
     )

@@ -75,10 +75,21 @@ class TestConfigs:
         assert all(d.config.v_ut == 0.02 for d in bank.detectors)
 
     def test_preset_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="thresholds must be strictly increasing"):
             threshold_sweep_bank([0.002, 0.001], 0.002, 250.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigmas must be strictly increasing"):
             sigma_sweep_bank([0.01, 0.01], 0.02, 250.0)
+        with pytest.raises(ValueError, match="thresholds is empty"):
+            threshold_sweep_bank([], 0.002, 250.0)
+
+    def test_preset_fields_are_python_floats(self):
+        # results are compared and printed by repr, which differs for np.float64
+        for bank in (threshold_sweep_bank(np.array([0.001, 0.002]), np.float64(0.002), 250.0),
+                     sigma_sweep_bank(np.array([0.004, 0.008]), np.float64(0.02), 250.0)):
+            for d in bank.detectors:
+                assert type(d.sigma) is float and type(d.config.v_ut) is float
+                assert (d.config.v_sat_pos, d.config.v_sat_neg) == (1.0, -1.0)
+                assert d.config.v_lt == -d.config.v_ut
 
     def test_bracket_order_validated(self):
         with pytest.raises(ValueError):

@@ -160,6 +160,12 @@ class TestExitCodes:
         ["bank", "--decay", "nan", "--votes", "1", *SHORT],
         ["freq-table", "--noise-rate", "5000", *ONE_CELL],
         ["detect-freq", "--decay", "0", *SHORT],
+        # seeds outside [0, 2**64), which used to wrap onto in-range ones
+        ["transitions", "--seed", "-1", *SHORT],
+        ["transitions", "--seed", str(2**64 + 5), *SHORT],
+        ["bank", "--seed", str(2**64 - 3), "--votes", "5", *SHORT],
+        # a drive above Nyquist, zero at every sample
+        ["freq-table", "--frequencies", "20000", "--repeats", "1", *SHORT],
         # flags that the selected law or bank mode never reads
         ["t0-curve", "--ratio", "0.3"],
         ["hysteresis", "--law", "calibrated", "--ratio", "0.045"],
@@ -340,6 +346,21 @@ class TestPresets:
         assert len(lines) == 1 + 13  # 1:4:0.25
         assert lines[1] == "1.0,0.046"
         assert lines[-1] == "4.0,0.199"
+
+    def test_fig13_fits_the_curve_it_writes(self, tmp_path, capsys):
+        # a short t0-curve manifest replayed as the fig13 preset
+        a, b, fit = tmp_path / "a", tmp_path / "b", tmp_path / "fit"
+        assert main(["t0-curve", "--sigma-grid", "0:0.3:0.02", "--runs", "10",
+                     "--duration", "0.5", "--out-dir", str(a)]) == 0
+        assert main(["reproduce", "fig13", "--config", str(a / "t0_curve_manifest.ini"),
+                     "--out-dir", str(b)]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert main(["fit-sigmoid", "--input", str(a / "t0_curve.csv"), "--plateau", "0.5",
+                     "--decay", "5", "--out-dir", str(fit)]) == 0
+        assert (b / "fig13.csv").read_bytes() == (a / "t0_curve.csv").read_bytes()
+        assert (b / "fig13_fit.csv").read_bytes() == (fit / "fit_sigmoid.csv").read_bytes()
+        assert re.search(r"; sigmoid r2 \d\.\d{4}$", summary)
+        assert read_manifest(b / "fig13_manifest.ini")["preset"] == "fig13"
 
     def test_fig6_replay_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -26,6 +26,23 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=0.1, noise_rate=float("nan"))
 
+    def test_seed_domain_is_64_bits(self):
+        # a seed outside [0, 2**64) used to wrap onto an in-range one
+        for bad in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match="seed"):
+                NoiseSpec(sigma=0.1, noise_rate=1000.0, seed=bad)
+            with pytest.raises(ValueError, match="seed"):
+                noise_stream(bad)
+        for good in (0, 5, 2**64 - 1):
+            assert NoiseSpec(sigma=0.1, noise_rate=1000.0, seed=good).seed == good
+
+    def test_in_range_seeds_keep_their_draws(self):
+        # the same draws as SeedSequence(seed) itself, as before the mask was dropped
+        for seed in (0, 5, 2**63, 2**64 - 1):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(3,))
+            want = np.random.Generator(np.random.Philox(ss)).normal(size=4)
+            assert noise_stream(seed, 3).normal(size=4).tobytes() == want.tobytes()
+
 
 class TestDeterminism:
     def test_same_seed_same_stream_identical(self):

@@ -11,13 +11,16 @@
   row-by-row writer with one _cell call per value;
 - block spectra (one rfft per block of rows into reused buffers) and the
   sweep, error table and bank vote built on them, against the per-row
-  spectrum, SNR and peak picking that each cell used on its own.
+  spectrum, SNR and peak picking that each cell used on its own;
+- the in-place arithmetic of run()'s combined input, t0_density_grid and
+  expected_t0_theory against the same formulas written as expressions.
 
 The oracles stay here as plain loops and formulas.  Equality is byte
 equality: the fast paths must not move a single output bit.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +28,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from srlab.amp_detect import last_transition_time  # noqa: E402
+import srlab.trigger  # noqa: E402
+from srlab.amp_detect import (  # noqa: E402
+    ThresholdGap,
+    envelope_gap,
+    expected_t0_theory,
+    last_transition_time,
+    t0_density_grid,
+)
 from srlab.bank import BankReport, run_bank, threshold_sweep_bank, vote_bank  # noqa: E402
 from srlab.csvio import _BLOCK, _cell, write_rows  # noqa: E402
 from srlab.experiments import SweepResult, snr_sigma_sweep  # noqa: E402
@@ -53,6 +63,7 @@ from srlab.trigger import (  # noqa: E402
     SwitchList,
     TriggerConfig,
     TriggerState,
+    calibrated_config,
     hysteresis_sweep,
     ideal_config,
     run,
@@ -85,7 +96,7 @@ def folded_step(cfg, v_n, initial):
     out = np.empty(len(v_n))
     for i, v in enumerate(v_n):
         state = step(cfg, state, v)
-        out[i] = cfg.output(state)
+        out[i] = cfg.v_sat_pos if state is TriggerState.HIGH else cfg.v_sat_neg
     return out
 
 
@@ -515,3 +526,68 @@ class TestBlockExperiments:
             chan = [row[i] for row in rows]
             assert r.transition_rate_hz == float(np.mean([c[2] for c in chan]))
             assert r.resonating == (2 * sum(c[3] for c in chan) > len(chan))
+
+
+def expression_t0_density(gap, sigma):
+    from scipy.special import log_ndtr, ndtr
+
+    x = gap.values / sigma
+    ln_hold = log_ndtr(x)
+    steps = 0.5 * (ln_hold[1:] + ln_hold[:-1]) * gap.dt
+    cum = np.concatenate(([0.0], np.cumsum(steps)))
+    suffix = cum[-1] - cum
+    return ndtr(-x) * np.exp(suffix / gap.dt) / gap.dt
+
+
+def expression_t0_theory(gap, sigma):
+    return float(np.sum(gap.times() * expression_t0_density(gap, sigma)) * gap.dt)
+
+
+FINITE = st.floats(-1e6, 1e6, allow_subnormal=True)
+# fig13's gap: calibrated law at 4 V, 0.1 V drive decaying at 5/s, 30 000 steps
+FIG13_GAP = envelope_gap(calibrated_config(4.0), DampedSine(0.1, 5.0, 1000.0), 20000.0, 1.5)
+
+
+@st.composite
+def gaps(draw):
+    n = draw(st.integers(2, 300))
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    dt = draw(st.one_of(st.sampled_from([1.0 / 20000.0, 1e-3, 1.0]), st.floats(1e-7, 10.0)))
+    return ThresholdGap(np.array(values), dt)
+
+
+class TestInPlace:
+    @PROPERTY
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+               st.lists(FINITE, min_size=n, max_size=n), st.lists(FINITE, min_size=n, max_size=n))),
+           st.one_of(st.sampled_from([1.0, 0.5, 0.1]), st.floats(1e-6, 1.0)))
+    def test_run_combined_input(self, drive, a):
+        signal, noise = (np.array(x) for x in drive)
+        cfg = TriggerConfig(1.0, -1.0, 0.1, -0.1, input_attenuation=a)
+        switches, seen = srlab.trigger._switches, []
+
+        def spy(v_n, *args):
+            seen.append(v_n.copy())
+            return switches(v_n, *args)
+
+        with mock.patch.object(srlab.trigger, "_switches", spy):
+            out = run(cfg, Trace(1e-3, signal), Trace(1e-3, noise))
+        want = a * (signal + noise)
+        assert seen[0].tobytes() == want.tobytes()
+        first_high, want_switches = switches(want, 0.1, -0.1, True)
+        assert (out.first_high, out.switches.tobytes()) == (first_high, want_switches.tobytes())
+        assert signal.tobytes() == np.array(drive[0]).tobytes()  # inputs left as they were
+
+    @PROPERTY
+    @given(gaps(), st.floats(1e-4, 10.0))
+    @example(FIG13_GAP, 0.5 * 0.05)
+    @example(FIG13_GAP, 0.5 * 0.5)
+    def test_t0_density_and_theory(self, gap, sigma):
+        before = gap.values.tobytes()
+        got = t0_density_grid(gap, sigma)
+        assert got.tobytes() == expression_t0_density(gap, sigma).tobytes()
+        theory = expected_t0_theory(gap, sigma)
+        assert type(theory) is float
+        assert np.float64(theory).tobytes() == np.float64(
+            expression_t0_theory(gap, sigma)).tobytes()
+        assert gap.values.tobytes() == before

@@ -93,6 +93,13 @@ class TestGenerate:
         expected = 0.1 * np.exp(-5.0 * t) * np.sin(2.0 * np.pi * 1000.0 * t)
         np.testing.assert_allclose(tr.samples, expected, atol=1e-12)
 
+    def test_above_nyquist_refused(self):
+        # at 20 kHz a 20 kHz tone is sin(2*pi*k) = 0 at every sample
+        for spec in (Sine(1.0, 20000.0), DampedSine(1.0, 5.0, 10000.5)):
+            with pytest.raises(ValueError, match="Nyquist"):
+                generate(spec, 20000.0, 0.01)
+        assert generate(Sine(1.0, 10000.0), 20000.0, 0.01).n_samples == 200
+
     def test_grid_is_deterministic(self):
         a = generate(Sine(1.0, 10.0), 1000.0, 0.2)
         b = generate(Sine(1.0, 10.0), 1000.0, 0.2)
