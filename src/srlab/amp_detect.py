@@ -25,7 +25,7 @@ parameters across a calibration table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,8 +178,10 @@ class T0Stats:
             raise ValueError(
                 f"n_no_transition {self.n_no_transition} outside [0, {self.n_runs}]"
             )
-        if self.mean_t0 < 0.0:
-            raise ValueError(f"mean_t0 must be >= 0, got {self.mean_t0}")
+        for name in ("sigma", "mean_t0", "std_t0"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def mean_t0_monte_carlo(
@@ -200,29 +202,28 @@ def mean_t0_monte_carlo(
     so the curve starts at 0 for sub-threshold noise.
     """
     signal = generate(damped, sample_rate, duration)
-    return _t0_stats(trigger_config, signal, sigma, n_runs, seed_base, sample_rate,
-                     duration, noise_rate, stream_base)
-
-
-def _t0_stats(trigger_config, signal, sigma, n_runs, seed_base, sample_rate, duration,
-              noise_rate, stream_base) -> T0Stats:
-    # mean_t0_monte_carlo on a drive generated once by the caller
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    spec = NoiseSpec(
-        sigma=sigma,
-        noise_rate=noise_rate if noise_rate is not None else sample_rate,
-        seed=seed_base,
-    )
+    spec = NoiseSpec(sigma, noise_rate if noise_rate is not None else sample_rate, seed_base)
     cells = [(trigger_config, spec, stream_base + r) for r in range(n_runs)]
-    t0s = np.asarray(simulate(signal, cells, sample_rate, duration,
-                              lambda outs: [last_transition_time(out) for out in outs]))
+    return _t0_stats(float(sigma), _last_times(signal, cells, sample_rate, duration), n_runs)
+
+
+def _last_times(signal, cells, sample_rate, duration) -> np.ndarray:
+    # last_transition_time of every cell, in one simulate call on one drive
+    return np.asarray(simulate(signal, cells, sample_rate, duration,
+                               lambda outs: [last_transition_time(out) for out in outs]))
+
+
+def _t0_stats(sigma: float, t0s: np.ndarray, n_runs: int) -> T0Stats:
+    # The statistics of one level's last-transition times; a level that ran
+    # once (zero noise) has its one time stand for all n_runs runs.
     return T0Stats(
-        sigma=float(sigma),
+        sigma=sigma,
         mean_t0=float(t0s.mean()),
         std_t0=float(t0s.std()),
         n_runs=n_runs,
-        n_no_transition=int(np.count_nonzero(t0s == 0.0)),
+        n_no_transition=n_runs // t0s.size * int(np.count_nonzero(t0s == 0.0)),
     )
 
 
@@ -239,22 +240,19 @@ def t0_sigma_curve(
     """mean_t0_monte_carlo at every noise level of a strictly increasing
     grid; level i uses streams [i*n_runs, (i+1)*n_runs), so all cells are
     independent and the curve reproducible from (seed_base, config).  The
-    drive is generated once for the whole curve."""
-    sigmas = increasing_grid(sigmas, "sigma grid")
+    whole curve is one simulate call on one drive.  Zero noise is the same
+    on every stream, so a zero level runs once and stands for n_runs runs
+    (and reports sigma 0.0 for a -0.0 grid entry)."""
+    sigmas = increasing_grid(sigmas, "sigma grid").tolist()
     signal = generate(damped, sample_rate, duration)
-    curve = []
-    for i, sigma in enumerate(sigmas):
-        noiseless = sigma == 0.0
-        stats = _t0_stats(
-            trigger_config, signal, float(sigma), 1 if noiseless else n_runs, seed_base,
-            sample_rate, duration, noise_rate, stream_base=i * n_runs,
-        )
-        if noiseless:
-            # Zero noise is the same on every stream, so one run stands for all.
-            stats = replace(stats, sigma=0.0, n_runs=n_runs,
-                            n_no_transition=n_runs * stats.n_no_transition)
-        curve.append(stats)
-    return curve
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    rate = noise_rate if noise_rate is not None else sample_rate
+    runs = [1 if sigma == 0.0 else n_runs for sigma in sigmas]
+    cells = [(trigger_config, NoiseSpec(sigma, rate, seed_base), i * n_runs + r)
+             for i, (sigma, k) in enumerate(zip(sigmas, runs)) for r in range(k)]
+    levels = np.split(_last_times(signal, cells, sample_rate, duration), np.cumsum(runs)[:-1])
+    return [_t0_stats(sigma + 0.0, t0s, n_runs) for sigma, t0s in zip(sigmas, levels)]
 
 
 @dataclass(frozen=True)

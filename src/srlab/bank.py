@@ -16,7 +16,7 @@ by majority voting over independent seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections import Counter
 
 import numpy as np
@@ -127,33 +127,11 @@ def run_bank(
 ) -> BankReport:
     """Run every detector on the same input with channel-independent noise
     (channel i uses stream i of seed_base); records each channel's
-    transition rate, resonance flag, and spectral frequency estimate."""
-    signal = generate(signal_spec, sample_rate, duration)
-    block = _SpectrumBlock(signal, len(bank.detectors))
-    return _bank_run(bank, signal, block, sample_rate, duration, seed_base, noise_rate)
+    transition rate, resonance flag, and spectral frequency estimate.
 
-
-def _bank_run(bank, signal, block, sample_rate, duration, seed_base, noise_rate) -> BankReport:
-    # run_bank on a drive and spectrum buffers made once by the caller
-    noise_rate = noise_rate if noise_rate is not None else sample_rate
-    cells = [(det.config, NoiseSpec(det.sigma, noise_rate, seed=seed_base), i)
-             for i, det in enumerate(bank.detectors)]
-
-    def reduce(outs):
-        f_ests = _block_peaks(block.spectrum(outs, SwitchList.write_transitions))
-        return [(transition_count(out) / duration, f_est) for out, f_est in zip(outs, f_ests)]
-
-    outcomes = simulate(signal, cells, sample_rate, duration, reduce)
-    return BankReport(results=[
-        DetectorResult(
-            threshold=det.config.v_ut,
-            sigma=det.sigma,
-            transition_rate_hz=rate,
-            resonating=rate >= bank.min_transition_rate_hz,
-            f_est=f_est,
-        )
-        for det, (rate, f_est) in zip(bank.detectors, outcomes)
-    ])
+    This is vote_bank over the one seed base, whose vote is exact: the mean
+    of one rate, the majority of one flag and the mode of one estimate."""
+    return vote_bank(bank, signal_spec, sample_rate, duration, [seed_base], noise_rate)
 
 
 def amplitude_bracket(report: BankReport) -> tuple[float, float] | None:
@@ -205,21 +183,30 @@ def vote_bank(
     if not seed_bases:
         raise ValueError("need at least one seed base to vote over")
     signal = generate(signal_spec, sample_rate, duration)
-    block = _SpectrumBlock(signal, len(bank.detectors))
-    reports = [_bank_run(bank, signal, block, sample_rate, duration, s, noise_rate)
-               for s in seed_bases]
+    noise_rate = noise_rate if noise_rate is not None else sample_rate
+    # One simulate call over every (seed, channel) cell, seed-major;
+    # channel i uses stream i of each seed base.
+    cells = [(det.config, NoiseSpec(det.sigma, noise_rate, seed=s), i)
+             for s in seed_bases for i, det in enumerate(bank.detectors)]
+    block = _SpectrumBlock(signal, len(cells))
+
+    def reduce(outs):
+        f_ests = _block_peaks(block.spectrum(outs, SwitchList.write_transitions))
+        return [(transition_count(out) / duration, f_est) for out, f_est in zip(outs, f_ests)]
+
+    outcomes = simulate(signal, cells, sample_rate, duration, reduce)
+    n = len(bank.detectors)
     voted = []
-    for i in range(len(bank.detectors)):
-        rows = [rep.results[i] for rep in reports]
-        votes = sum(r.resonating for r in rows)
-        voted.append(
-            replace(
-                rows[0],
-                transition_rate_hz=float(np.mean([r.transition_rate_hz for r in rows])),
-                resonating=votes * 2 > len(rows),
-                f_est=most_common_estimate(r.f_est for r in rows),
-            )
-        )
+    for i, det in enumerate(bank.detectors):
+        rates, f_ests = zip(*outcomes[i::n])
+        votes = sum(rate >= bank.min_transition_rate_hz for rate in rates)
+        voted.append(DetectorResult(
+            threshold=det.config.v_ut,
+            sigma=det.sigma,
+            transition_rate_hz=float(np.mean(rates)),
+            resonating=votes * 2 > len(rates),
+            f_est=most_common_estimate(f_ests),
+        ))
     return BankReport(results=voted)
 
 

@@ -132,19 +132,15 @@ def read_t0_curve_csv(path) -> list[T0Stats]:
     if not lines or lines[0] != "sigma_v,mean_t0_s,std_t0_s,n_runs,n_no_transition":
         raise ValueError(f"{path} is not a t0-curve CSV (bad header)")
     curve = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        sigma, mean, std, n_runs, n_none = line.split(",")
-        curve.append(
-            T0Stats(
-                sigma=float(sigma),
-                mean_t0=float(mean),
-                std_t0=float(std),
-                n_runs=int(n_runs),
-                n_no_transition=int(n_none),
-            )
-        )
+        try:
+            sigma, mean, std, n_runs, n_none = line.split(",")
+            curve.append(T0Stats(sigma=float(sigma), mean_t0=float(mean), std_t0=float(std),
+                                 n_runs=int(n_runs), n_no_transition=int(n_none)))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {number}: {exc}") from exc
     return curve
 
 

@@ -133,15 +133,21 @@ def error_rate_table(
 ) -> list[FreqDetectReport]:
     """Detection reports for every (frequency, repeat) cell.
 
-    Repeat r of every frequency uses seed base_params.seed_base + r; cells
-    of the same repeat differ by stream index, so the table is fully
-    reproducible and every cell independent.  Each frequency's drive is
+    The frequencies must be distinct, in any order.  Repeat r of every
+    frequency uses seed base_params.seed_base + r; cells of the same repeat
+    differ by stream index, so the table is fully reproducible and every
+    cell independent.  Each frequency's drive is
     generated once, and one set of spectrum buffers serves the whole table.
     Use summarize_error_table() for the per-frequency aggregate view.
     """
     frequencies = [float(f) for f in frequencies]
     if not frequencies:
         raise ValueError("frequency list is empty")
+    seen = set()
+    for f in frequencies:
+        if f in seen:  # summarize_error_table would merge its rows into one summary
+            raise ValueError(f"frequency {f} Hz is listed more than once")
+        seen.add(f)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     p = base_params

@@ -77,8 +77,9 @@ def generate_noise(
     n_draws = n if idx is None else int(idx[-1]) + 1
     rng = noise_stream(spec.seed, stream)
     # normal(0, sigma), not sigma * standard_normal(): at sigma = 0 the
-    # product turns negative draws into -0.0, where normal gives +0.0
-    draws = rng.normal(0.0, spec.sigma, size=n_draws)
+    # product turns negative draws into -0.0, where normal gives +0.0; the
+    # + 0.0 turns a sigma of -0.0, which is zero, into the 0.0 numpy accepts
+    draws = rng.normal(0.0, spec.sigma + 0.0, size=n_draws)
     np.clip(draws, -CLIP_V, CLIP_V, out=draws)
     samples = draws if idx is None else draws[idx]
     return Trace(dt=1.0 / sample_rate, samples=samples)

@@ -171,6 +171,13 @@ class TestT0Stats:
         with pytest.raises(ValueError):
             T0Stats(0.1, -0.5, 0.1, n_runs=5, n_no_transition=0)
 
+    @pytest.mark.parametrize("field", ["sigma", "mean_t0", "std_t0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_field_named(self, field, value):
+        fields = dict(sigma=0.1, mean_t0=0.5, std_t0=0.1, n_runs=5, n_no_transition=0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+            T0Stats(**{**fields, field: value})
+
 
 class TestMonteCarlo:
     def test_deterministic(self):

@@ -1,6 +1,8 @@
 import argparse
 import re
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,25 @@ class TestExitCodes:
             assert rc == 2
         assert not list(tmp_path.glob("estimate_decay*"))
 
+    # a saved curve edited by hand: a non-finite or negative field
+    @pytest.mark.parametrize("column, value", [
+        (1, "nan"), (1, "inf"), (0, "nan"), (2, "nan"), (2, "-1.0"),
+    ], ids=["mean_nan", "mean_inf", "sigma_nan", "std_nan", "std_negative"])
+    def test_corrupt_curve_csv_is_config_error(self, tmp_path, capsys, column, value):
+        path = tmp_path / "c.csv"
+        lines = Path(_sigmoid_curve_csv(path, 5.0)).read_text().splitlines()
+        row = lines[7].split(",")
+        row[column] = value
+        lines[7] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit-sigmoid", "--input", str(path), "--out-dir", str(out)]) == 2
+        field = ("sigma", "mean_t0", "std_t0")[column]
+        assert f"c.csv line 8: {field} must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     SHORT = ["--duration", "0.05"]
     ONE_CELL = ["--frequencies", "500", "--repeats", "1", *SHORT]
 
@@ -164,6 +185,8 @@ class TestExitCodes:
         ["transitions", "--seed", "-1", *SHORT],
         ["transitions", "--seed", str(2**64 + 5), *SHORT],
         ["bank", "--seed", str(2**64 - 3), "--votes", "5", *SHORT],
+        # a repeated frequency, whose rows would be merged into one summary
+        ["freq-table", "--frequencies", "10,10", "--repeats", "2", *SHORT],
         # a drive above Nyquist, zero at every sample
         ["freq-table", "--frequencies", "20000", "--repeats", "1", *SHORT],
         # flags that the selected law or bank mode never reads

@@ -137,6 +137,20 @@ class TestErrorTable:
         with pytest.raises(ValueError):
             error_rate_table(CFG, [500.0], DetectionSetup(), repeats=0)
 
+    def test_repeated_frequency_rejected(self):
+        # its rows would come from two streams and be merged into one summary
+        with pytest.raises(ValueError, match="frequency 10.0 Hz is listed more than once"):
+            error_rate_table(CFG, [10.0, 500.0, 10.0], DetectionSetup(duration=0.05))
+
+    def test_unsorted_frequencies_keep_their_order(self):
+        setup = DetectionSetup(duration=0.05)
+        reports = error_rate_table(CFG, [500.0, 10.0], setup, repeats=2)
+        assert [r.f_true for r in reports] == [500.0, 500.0, 10.0, 10.0]
+        assert reports[3] == detect_frequency(
+            CFG, DampedSine(setup.amplitude, setup.decay, 10.0),
+            NoiseSpec(setup.sigma, setup.sample_rate, seed=1), setup.sample_rate,
+            setup.duration, stream=1)
+
     def test_mid_band_accuracy_and_low_band_misses(self):
         reports = error_rate_table(CFG, [10.0, 500.0], DetectionSetup(), repeats=5)
         by_f = {s.f_true: s for s in summarize_error_table(reports)}

@@ -10,6 +10,12 @@ class TestNoiseSpec:
         tr = generate_noise(spec, 1000.0, 0.1)
         assert np.all(tr.samples == 0.0)
 
+    def test_negative_zero_sigma_is_zero(self):
+        # numpy's normal refuses a scale of -0.0; NoiseSpec accepts it as zero
+        zero = generate_noise(NoiseSpec(sigma=0.0, noise_rate=1000.0), 1000.0, 0.1)
+        negative = generate_noise(NoiseSpec(sigma=-0.0, noise_rate=1000.0), 1000.0, 0.1)
+        assert negative.samples.tobytes() == zero.samples.tobytes()
+
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-0.1, noise_rate=1000.0)

@@ -14,12 +14,15 @@
   spectrum, SNR and peak picking that each cell used on its own;
 - the in-place arithmetic of run()'s combined input, t0_density_grid and
   expected_t0_theory against the same formulas written as expressions.
+- t0_sigma_curve, vote_bank and run_bank, each one simulate call per
+  drive, against one call per noise level and one per seed base.
 
 The oracles stay here as plain loops and formulas.  Equality is byte
-equality: the fast paths must not move a single output bit.
+equality (and, for result records, the type of every field): the fast
+paths must not move a single output bit.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -30,15 +33,26 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import srlab.trigger  # noqa: E402
 from srlab.amp_detect import (  # noqa: E402
+    T0Stats,
     ThresholdGap,
     envelope_gap,
     expected_t0_theory,
     last_transition_time,
+    mean_t0_monte_carlo,
     t0_density_grid,
+    t0_sigma_curve,
 )
-from srlab.bank import BankReport, run_bank, threshold_sweep_bank, vote_bank  # noqa: E402
+from srlab.bank import (  # noqa: E402
+    BankReport,
+    DetectorResult,
+    most_common_estimate,
+    run_bank,
+    sigma_sweep_bank,
+    threshold_sweep_bank,
+    vote_bank,
+)
 from srlab.csvio import _BLOCK, _cell, write_rows  # noqa: E402
-from srlab.experiments import SweepResult, snr_sigma_sweep  # noqa: E402
+from srlab.experiments import SweepResult, simulate, snr_sigma_sweep  # noqa: E402
 from srlab.freq_detect import (  # noqa: E402
     DetectionSetup,
     FreqDetectReport,
@@ -526,6 +540,124 @@ class TestBlockExperiments:
             chan = [row[i] for row in rows]
             assert r.transition_rate_hz == float(np.mean([c[2] for c in chan]))
             assert r.resonating == (2 * sum(c[3] for c in chan) > len(chan))
+
+
+def per_level_curve(config, damped, sigmas, n_runs, seed_base, sample_rate, duration,
+                    noise_rate):
+    """t0_sigma_curve as one simulate call per noise level; a zero level
+    runs once and stands for all n_runs runs."""
+    signal = generate(damped, sample_rate, duration)
+    rate = sample_rate if noise_rate is None else noise_rate
+    curve = []
+    for i, sigma in enumerate(sigmas):
+        noiseless = sigma == 0.0
+        runs = 1 if noiseless else n_runs
+        spec = NoiseSpec(sigma=float(sigma), noise_rate=rate, seed=seed_base)
+        cells = [(config, spec, i * n_runs + r) for r in range(runs)]
+        t0s = np.asarray(simulate(signal, cells, sample_rate, duration,
+                                  lambda outs: [last_transition_time(o) for o in outs]))
+        stats = T0Stats(float(sigma), float(t0s.mean()), float(t0s.std()), runs,
+                        int(np.count_nonzero(t0s == 0.0)))
+        if noiseless:
+            stats = replace(stats, sigma=0.0, n_runs=n_runs,
+                            n_no_transition=n_runs * stats.n_no_transition)
+        curve.append(stats)
+    return curve
+
+
+def per_seed_vote(bank, signal_spec, sample_rate, duration, seed_bases, noise_rate):
+    """vote_bank as one simulate call per seed base (channel i on stream i),
+    then the vote per channel: mean rate, strict majority, most common
+    estimate.  Returns the per-seed reports and the voted one."""
+    signal = generate(signal_spec, sample_rate, duration)
+    block = _SpectrumBlock(signal, len(bank.detectors))
+    rate = sample_rate if noise_rate is None else noise_rate
+
+    def reduce(outs):
+        f_ests = _block_peaks(block.spectrum(outs, SwitchList.write_transitions))
+        return [(transition_count(out) / duration, f) for out, f in zip(outs, f_ests)]
+
+    reports = []
+    for s in seed_bases:
+        cells = [(det.config, NoiseSpec(det.sigma, rate, seed=s), i)
+                 for i, det in enumerate(bank.detectors)]
+        outcomes = simulate(signal, cells, sample_rate, duration, reduce)
+        reports.append(BankReport(results=[
+            DetectorResult(det.config.v_ut, det.sigma, r, r >= bank.min_transition_rate_hz, f)
+            for det, (r, f) in zip(bank.detectors, outcomes)]))
+    voted = []
+    for i in range(len(bank.detectors)):
+        rows = [rep.results[i] for rep in reports]
+        voted.append(replace(
+            rows[0],
+            transition_rate_hz=float(np.mean([r.transition_rate_hz for r in rows])),
+            resonating=sum(r.resonating for r in rows) * 2 > len(rows),
+            f_est=most_common_estimate(r.f_est for r in rows)))
+    return reports, BankReport(results=voted)
+
+
+def typed_fields(records):
+    """Every field of every record as (name, type, repr): equal lists mean
+    equal bits (repr round-trips a float and tells -0.0 from 0.0) and equal
+    types."""
+    return [[(f.name, type(v), repr(v)) for f in fields(r) for v in [getattr(r, f.name)]]
+            for r in records]
+
+
+ONE_CALL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+FIG13_DRIVE = DampedSine(0.1, 5.0, 1000.0)
+NOISE_RATES = [None, 20000.0, 5000.0, 3000.0]
+
+
+@st.composite
+def curve_grids(draw):
+    """One to three noise levels where the comparator switches, after an
+    optional 0.0 or -0.0 level."""
+    grid = sorted(draw(st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]), min_size=1,
+                                max_size=3, unique=True)))
+    zero = draw(st.sampled_from([None, 0.0, -0.0]))
+    return grid if zero is None else [zero, *grid]
+
+
+@st.composite
+def banks(draw):
+    """A threshold or sigma bank of two to five channels whose transition
+    rates vary from seed to seed, with its drive."""
+    channels = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        bank = threshold_sweep_bank([0.004 * (i + 1) for i in range(channels)], 0.01, 500.0)
+        return bank, Sine(0.01, 500.0)
+    sigmas = [0.01 * 2**i for i in range(channels)]
+    return sigma_sweep_bank(sigmas, 0.05, 50.0), DampedSine(0.1, 2.0, 50.0)
+
+
+class TestOneCallPerDrive:
+    @ONE_CALL
+    @given(curve_grids(), st.integers(1, 4), st.integers(0, 3), st.sampled_from(NOISE_RATES),
+           st.sampled_from([calibrated_config(4.0), HALF]))
+    def test_t0_curve_equals_per_level_calls(self, sigmas, n_runs, seed, noise_rate, config):
+        args = (config, FIG13_DRIVE, sigmas, n_runs, seed, 20000.0, 0.02, noise_rate)
+        got, want = t0_sigma_curve(*args), per_level_curve(*args)
+        assert typed_fields(got) == typed_fields(want)
+        for i, sigma in enumerate(sigmas):
+            if sigma != 0.0:
+                one = mean_t0_monte_carlo(config, FIG13_DRIVE, sigma, n_runs, seed, 20000.0,
+                                          0.02, noise_rate, stream_base=i * n_runs)
+                assert typed_fields([one]) == typed_fields([got[i]])
+
+    # n = 8 000 puts 8 rows in a block, so up to 15 cells cross a block
+    # boundary inside a seed base.
+    @ONE_CALL
+    @given(banks(), st.lists(st.integers(0, 50), min_size=1, max_size=3),
+           st.sampled_from([None, 10000.0]))
+    def test_vote_and_run_bank_equal_per_seed_calls(self, bank_tone, seeds, noise_rate):
+        bank, tone = bank_tone
+        reports, voted = per_seed_vote(bank, tone, 20000.0, 0.4, seeds, noise_rate)
+        got = vote_bank(bank, tone, 20000.0, 0.4, seeds, noise_rate)
+        assert typed_fields(got.results) == typed_fields(voted.results)
+        for s, want in zip(seeds, reports):
+            one = run_bank(bank, tone, 20000.0, 0.4, s, noise_rate)
+            assert typed_fields(one.results) == typed_fields(want.results)
 
 
 def expression_t0_density(gap, sigma):
