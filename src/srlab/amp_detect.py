@@ -205,13 +205,13 @@ def mean_t0_monte_carlo(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     spec = NoiseSpec(sigma, noise_rate if noise_rate is not None else sample_rate, seed_base)
-    cells = [(trigger_config, spec, stream_base + r) for r in range(n_runs)]
-    return _t0_stats(float(sigma), _last_times(signal, cells, sample_rate, duration), n_runs)
+    cells = [(signal, trigger_config, spec, stream_base + r) for r in range(n_runs)]
+    return _t0_stats(float(sigma), _last_times(cells, sample_rate, duration), n_runs)
 
 
-def _last_times(signal, cells, sample_rate, duration) -> np.ndarray:
-    # last_transition_time of every cell, in one simulate call on one drive
-    return np.asarray(simulate(signal, cells, sample_rate, duration,
+def _last_times(cells, sample_rate, duration) -> np.ndarray:
+    # last_transition_time of every cell, in one simulate call
+    return np.asarray(simulate(cells, sample_rate, duration,
                                lambda outs: [last_transition_time(out) for out in outs]))
 
 
@@ -249,9 +249,9 @@ def t0_sigma_curve(
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     rate = noise_rate if noise_rate is not None else sample_rate
     runs = [1 if sigma == 0.0 else n_runs for sigma in sigmas]
-    cells = [(trigger_config, NoiseSpec(sigma, rate, seed_base), i * n_runs + r)
+    cells = [(signal, trigger_config, NoiseSpec(sigma, rate, seed_base), i * n_runs + r)
              for i, (sigma, k) in enumerate(zip(sigmas, runs)) for r in range(k)]
-    levels = np.split(_last_times(signal, cells, sample_rate, duration), np.cumsum(runs)[:-1])
+    levels = np.split(_last_times(cells, sample_rate, duration), np.cumsum(runs)[:-1])
     return [_t0_stats(sigma + 0.0, t0s, n_runs) for sigma, t0s in zip(sigmas, levels)]
 
 
@@ -294,13 +294,11 @@ def fit_sigmoid(
     y = np.asarray([s.mean_t0 for s in curve], dtype=np.float64)
     if x.size < 4:
         raise ValueError(f"need >= 4 curve points to fit, got {x.size}")
-    if plateau_T <= 0.0:
-        raise ValueError(f"plateau_T must be > 0, got {plateau_T}")
-    span = x[-1] - x[0]
-    if span <= 0.0:
-        raise ValueError("curve sigmas must be increasing")
+    if not 0.0 < plateau_T < math.inf:
+        raise ValueError(f"plateau_T must be finite and > 0, got {plateau_T}")
+    x = increasing_grid(x, "curve sigmas")
 
-    a0 = 4.0 / span
+    a0 = 4.0 / (x[-1] - x[0])
     above = np.nonzero(y >= 0.5 * plateau_T)[0]
     c0 = float(x[above[0]]) if above.size else float(x[x.size // 2])
 

@@ -21,11 +21,11 @@ from collections import Counter
 
 import numpy as np
 
-from srlab.experiments import increasing_grid, simulate
+from srlab.experiments import increasing_grid
+from srlab.freq_detect import _transition_peaks
 from srlab.noise import NoiseSpec
 from srlab.signals import SignalSpec, generate
-from srlab.spectral import _block_peaks, _SpectrumBlock
-from srlab.trigger import SwitchList, TriggerConfig, _symmetric, transition_count
+from srlab.trigger import TriggerConfig, _symmetric
 
 
 @dataclass(frozen=True)
@@ -186,15 +186,9 @@ def vote_bank(
     noise_rate = noise_rate if noise_rate is not None else sample_rate
     # One simulate call over every (seed, channel) cell, seed-major;
     # channel i uses stream i of each seed base.
-    cells = [(det.config, NoiseSpec(det.sigma, noise_rate, seed=s), i)
+    cells = [(signal, det.config, NoiseSpec(det.sigma, noise_rate, seed=s), i)
              for s in seed_bases for i, det in enumerate(bank.detectors)]
-    block = _SpectrumBlock(signal, len(cells))
-
-    def reduce(outs):
-        f_ests = _block_peaks(block.spectrum(outs, SwitchList.write_transitions))
-        return [(transition_count(out) / duration, f_est) for out, f_est in zip(outs, f_ests)]
-
-    outcomes = simulate(signal, cells, sample_rate, duration, reduce)
+    outcomes = _transition_peaks(cells, sample_rate, duration)
     n = len(bank.detectors)
     voted = []
     for i, det in enumerate(bank.detectors):

@@ -269,12 +269,16 @@ def run_fit_sigmoid(p: dict, out: Path, prefix: str) -> str:
 
 
 def run_estimate_decay(p: dict, out: Path, prefix: str) -> str:
-    curves = {}
+    paths = {}
     for entry in p["calibration"]:
         label, _, path = entry.partition("=")
         if not path:
             raise ValueError(f"calibration entry {entry!r} must be b=curve.csv")
-        curves[float(label)] = read_t0_curve_csv(path)
+        b = float(label)
+        if b in paths:  # refused before any file is read
+            raise ValueError(f"calibration entry {entry!r} repeats decay {b}")
+        paths[b] = path
+    curves = {b: read_t0_curve_csv(path) for b, path in paths.items()}
     estimate = calibrate_and_estimate_decay(
         curves, read_t0_curve_csv(p["observed"]), plateau_T=p["plateau"]
     )

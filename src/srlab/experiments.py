@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import SignalSpec, Trace, generate
+from srlab.signals import SignalSpec, Trace, generate, n_samples_for
 from srlab.spectral import _SpectrumBlock, block_rows, signal_bin, snr_db
 from srlab.trigger import SwitchList, TriggerConfig, run
 
@@ -53,21 +53,23 @@ class SweepResult:
         return int(self.sigmas.size)
 
 
-def simulate(signal: Trace, cells, sample_rate: float, duration: float, reduce) -> list:
+def simulate(cells, sample_rate: float, duration: float, reduce) -> list:
     """The Monte-Carlo step of every experiment: for each cell
-    (trigger_config, noise_spec, stream), drive the comparator with signal
-    plus the noise of (noise_spec.seed, stream).  The outputs, each a
+    (drive, trigger_config, noise_spec, stream), drive the comparator with
+    drive plus the noise of (noise_spec.seed, stream).  The outputs, each a
     trigger.SwitchList, go to reduce a block at a time, and reduce returns
     one result per output.  A block holds max(1, BLOCK_SAMPLES // n)
-    outputs (block_rows), so a spectral reducer takes the block's spectra
+    outputs (block_rows) of the n-sample grid of (sample_rate, duration),
+    whatever their drives, so a spectral reducer takes the block's spectra
     in one FFT, and runs of BLOCK_SAMPLES samples or more are reduced one
-    at a time.  Results come back in cell order; the caller picks every
-    cell's address, so each experiment keeps its own stream layout."""
-    size = block_rows(signal.n_samples)
+    at a time; run() refuses a drive on another grid.  Results come back in
+    cell order; the caller picks every cell's address, so each experiment
+    keeps its own stream layout and makes one call."""
+    size = block_rows(n_samples_for(sample_rate, duration))
     results, block = [], []
-    for config, spec, stream in cells:
+    for drive, config, spec, stream in cells:
         noise = generate_noise(spec, sample_rate, duration, stream=stream)
-        block.append(run(config, signal, noise))
+        block.append(run(config, drive, noise))
         if len(block) == size:
             results.extend(reduce(block))
             block = []
@@ -110,12 +112,12 @@ def snr_sigma_sweep(
     f_signal = signal_spec.frequency
     signal = generate(signal_spec, sample_rate, duration)
     specs = [replace(noise_template, sigma=float(sigma)) for sigma in sigmas]
-    cells = [(trigger_config, spec, i * repeats + r)
+    cells = [(signal, trigger_config, spec, i * repeats + r)
              for i, spec in enumerate(specs) for r in range(repeats)]
     block = _SpectrumBlock(signal, len(cells))
     signal_bin(block.df, block.n_samples, f_signal)  # refused before any noise is drawn
     snrs = np.reshape(
-        simulate(signal, cells, sample_rate, duration,
+        simulate(cells, sample_rate, duration,
                  lambda outs: snr_db(block.spectrum(outs, SwitchList.write_samples), f_signal)),
         (sigmas.size, repeats),
     )

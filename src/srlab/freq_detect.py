@@ -23,7 +23,7 @@ from srlab.experiments import SweepResult, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
 from srlab.spectral import Spectrum, _block_peaks, _SpectrumBlock, periodogram
-from srlab.trigger import SwitchList, TriggerConfig
+from srlab.trigger import SwitchList, TriggerConfig, transition_count
 
 
 @dataclass(frozen=True)
@@ -80,26 +80,30 @@ def transition_spectrum(output: SwitchList) -> Spectrum:
         np.empty(output.n_samples))))
 
 
-def _detect_runs(trigger_config, damped, signal, specs, stream, sample_rate, duration,
-                 dc_guard_hz, block) -> list[FreqDetectReport]:
-    # detect_frequency for each noise spec on a drive generated once by the
-    # caller, the spectra taken a block at a time in the caller's buffers
-    f_true = damped.frequency
-    f_ests = simulate(
-        signal, [(trigger_config, spec, stream) for spec in specs], sample_rate, duration,
-        lambda outs: _block_peaks(block.spectrum(outs, SwitchList.write_transitions),
-                                  dc_guard_hz),
-    )
-    return [
-        FreqDetectReport(
-            f_true=f_true,
-            f_est=f_est,
-            error_pct=None if f_est is None else 100.0 * abs(f_est - f_true) / f_true,
-            sigma=spec.sigma,
-            seed=spec.seed,
-        )
-        for spec, f_est in zip(specs, f_ests)
-    ]
+def _transition_peaks(cells, sample_rate, duration, dc_guard_hz=None) -> list:
+    # (transition rate, f_est) of every simulate cell: the output's switches
+    # per second and the second peak of its transition-train spectrum, in one
+    # simulate call; every cell is on the first drive's grid, so one block fits
+    block = _SpectrumBlock(cells[0][0], len(cells))
+
+    def reduce(outs):
+        f_ests = _block_peaks(block.spectrum(outs, SwitchList.write_transitions), dc_guard_hz)
+        return [(transition_count(out) / duration, f_est) for out, f_est in zip(outs, f_ests)]
+
+    return simulate(cells, sample_rate, duration, reduce)
+
+
+def _detect_runs(trigger_config, runs, sample_rate, duration, dc_guard_hz) -> list:
+    # the report of every (damped, drive, noise spec, stream) run
+    peaks = _transition_peaks([(drive, trigger_config, spec, stream)
+                               for _, drive, spec, stream in runs],
+                              sample_rate, duration, dc_guard_hz)
+    reports = []
+    for (damped, _, spec, _), (_, f_est) in zip(runs, peaks):
+        f = damped.frequency
+        error = None if f_est is None else 100.0 * abs(f_est - f) / f
+        reports.append(FreqDetectReport(f, f_est, error, spec.sigma, spec.seed))
+    return reports
 
 
 def detect_frequency(
@@ -119,9 +123,9 @@ def detect_frequency(
     """
     if not isinstance(damped, DampedSine):
         raise ValueError(f"detector expects a damped sinusoid, got {damped!r}")
-    signal = generate(damped, sample_rate, duration)
-    [report] = _detect_runs(trigger_config, damped, signal, [noise_spec], stream,
-                            sample_rate, duration, dc_guard_hz, _SpectrumBlock(signal, 1))
+    drive = generate(damped, sample_rate, duration)
+    [report] = _detect_runs(trigger_config, [(damped, drive, noise_spec, stream)],
+                            sample_rate, duration, dc_guard_hz)
     return report
 
 
@@ -136,8 +140,8 @@ def error_rate_table(
     The frequencies must be distinct, in any order.  Repeat r of every
     frequency uses seed base_params.seed_base + r; cells of the same repeat
     differ by stream index, so the table is fully reproducible and every
-    cell independent.  Each frequency's drive is
-    generated once, and one set of spectrum buffers serves the whole table.
+    cell independent.  Each frequency's drive is generated once, up front,
+    and the whole table is one simulate call.
     Use summarize_error_table() for the per-frequency aggregate view.
     """
     frequencies = [float(f) for f in frequencies]
@@ -151,16 +155,13 @@ def error_rate_table(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     p = base_params
-    drives = [DampedSine(p.amplitude, p.decay, f) for f in frequencies]
+    damped = [DampedSine(p.amplitude, p.decay, f) for f in frequencies]
+    drives = [generate(d, p.sample_rate, p.duration) for d in damped]
     specs = [NoiseSpec(sigma=p.sigma, noise_rate=p.sample_rate, seed=p.seed_base + r)
              for r in range(repeats)]
-    reports, block = [], None
-    for fi, damped in enumerate(drives):
-        signal = generate(damped, p.sample_rate, p.duration)
-        block = block or _SpectrumBlock(signal, repeats)
-        reports += _detect_runs(trigger_config, damped, signal, specs, fi, p.sample_rate,
-                                p.duration, p.dc_guard_hz, block)
-    return reports
+    runs = [(d, drive, spec, i) for i, (d, drive) in enumerate(zip(damped, drives))
+            for spec in specs]
+    return _detect_runs(trigger_config, runs, p.sample_rate, p.duration, p.dc_guard_hz)
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,16 @@ class TestSigmoidFit:
             fit_sigmoid(_stats_from_xy(self.X, y), plateau_T=0.0)
         with pytest.raises(ValueError):
             fit_sigmoid(_stats_from_xy(self.X[::-1], y))
+        # the endpoints increase, but not every step does
+        swapped, repeated = self.X.copy(), self.X.copy()
+        swapped[[5, 6]] = swapped[[6, 5]]
+        repeated[6] = repeated[5]
+        for x in (swapped, repeated):
+            with pytest.raises(ValueError, match="curve sigmas must be strictly increasing"):
+                fit_sigmoid(_stats_from_xy(x, y))
+        for plateau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="plateau_T must be finite and > 0"):
+                fit_sigmoid(_stats_from_xy(self.X, y), plateau_T=plateau)
 
     def test_degenerate_curve_raises_fit_error(self):
         flat = _stats_from_xy(self.X, np.zeros_like(self.X))

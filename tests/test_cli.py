@@ -139,6 +139,42 @@ class TestExitCodes:
             assert rc == 2
         assert not list(tmp_path.glob("estimate_decay*"))
 
+    def test_repeated_calibration_decay_refused_before_reading(self, tmp_path, capsys):
+        # 5.0 repeats 5 as a float: the later curve used to replace the earlier
+        # one unseen; the missing file shows that nothing was read first
+        curves = {b: _sigmoid_curve_csv(tmp_path / f"c{b}.csv", b) for b in (1, 5, 9)}
+        cal = [a for b, path in curves.items() for a in ("--calibration", f"{b}={path}")]
+        out = tmp_path / "out"
+        rc = main(["estimate-decay", *cal, "--calibration", f"5.0={tmp_path / 'missing.csv'}",
+                   "--observed", curves[5], "--out-dir", str(out)])
+        assert rc == 2
+        assert "calibration entry '5.0=" in capsys.readouterr().err
+        assert not out.exists()
+
+    # the endpoints increase but one step does not, or the plateau is not finite
+    @pytest.mark.parametrize("edit, flags, message", [
+        ("swap", [], "curve sigmas must be strictly increasing"),
+        ("repeat", [], "curve sigmas must be strictly increasing"),
+        (None, ["--plateau", "nan"], "plateau_T must be finite and > 0, got nan"),
+        (None, ["--plateau", "inf"], "plateau_T must be finite and > 0, got inf"),
+    ], ids=["swapped_rows", "repeated_sigma", "plateau_nan", "plateau_inf"])
+    def test_unfittable_curve_input_is_config_error(self, tmp_path, capsys, edit, flags,
+                                                    message):
+        path = tmp_path / "c.csv"
+        lines = Path(_sigmoid_curve_csv(path, 5.0)).read_text().splitlines()
+        if edit == "swap":
+            lines[7], lines[8] = lines[8], lines[7]
+        elif edit == "repeat":
+            lines[8] = lines[7]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit-sigmoid", "--input", str(path), *flags, "--out-dir", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     # a saved curve edited by hand: a non-finite or negative field
     @pytest.mark.parametrize("column, value", [
         (1, "nan"), (1, "inf"), (0, "nan"), (2, "nan"), (2, "-1.0"),

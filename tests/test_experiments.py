@@ -1,7 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import srlab.experiments
+from srlab.amp_detect import mean_t0_monte_carlo, t0_sigma_curve
+from srlab.bank import run_bank, sigma_sweep_bank, threshold_sweep_bank, vote_bank
 from srlab.experiments import (
     SweepResult,
     capture_transitions,
@@ -9,8 +13,9 @@ from srlab.experiments import (
     simulate,
     snr_sigma_sweep,
 )
+from srlab.freq_detect import DetectionSetup, detect_frequency, error_rate_table
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import DampedSine, Sine, Trace, generate
+from srlab.signals import DampedSine, Sine, generate
 from srlab.spectral import BLOCK_SAMPLES, periodogram, snr_db
 from srlab.trigger import ideal_config, run, transition_count
 
@@ -118,25 +123,78 @@ class TestSimulate:
         signal = generate(SIGNAL, 20000.0, n / 20000.0)
         assert signal.n_samples == n
         spec = NoiseSpec(0.05, 20000.0, seed=2)
-        cells = [(CFG, spec, stream) for stream in range(2 * b + 1)]
+        cells = [(signal, CFG, spec, stream) for stream in range(2 * b + 1)]
         sizes = []
 
         def reduce(outs):
             sizes.append(len(outs))
             return [transition_count(out) for out in outs]
 
-        got = simulate(signal, cells, 20000.0, n / 20000.0, reduce)
+        got = simulate(cells, 20000.0, n / 20000.0, reduce)
         assert all(1 <= size <= b for size in sizes)
         assert sizes == [b, b, 1]
         if n > BLOCK_SAMPLES:
             assert set(sizes) == {1}  # a long run is reduced alone, as before blocks
         # results come back one per cell, in cell order
         assert got == [transition_count(run(CFG, signal, generate_noise(
-            spec, 20000.0, n / 20000.0, stream=stream))) for _, _, stream in cells]
+            spec, 20000.0, n / 20000.0, stream=stream))) for _, _, _, stream in cells]
 
     def test_empty_cell_list(self):
-        signal = Trace(1.0 / 20000.0, np.zeros(100))
-        assert simulate(signal, [], 20000.0, 0.005, lambda outs: 1 / 0) == []
+        assert simulate([], 20000.0, 0.005, lambda outs: 1 / 0) == []
+
+    def test_cells_of_different_drives_share_a_block(self):
+        n, b = 8000, BLOCK_SAMPLES // 8000
+        duration = n / 20000.0
+        drives = [generate(s, 20000.0, duration)
+                  for s in (SIGNAL, Sine(0.3, 120.0), DampedSine(0.4, 5.0, 700.0))]
+        spec = NoiseSpec(0.05, 20000.0, seed=2)
+        cells = [(drives[k % 3], CFG, spec, k) for k in range(2 * b + 1)]
+        sizes = []
+
+        def reduce(outs):
+            sizes.append(len(outs))
+            return [(out.first_high, out.switches.tobytes()) for out in outs]
+
+        got = simulate(cells, 20000.0, duration, reduce)
+        assert sizes == [b, b, 1]
+        assert got == [simulate([cell], 20000.0, duration, reduce)[0] for cell in cells]
+        # the drive reaches each cell's output: on the first drive alone they differ
+        assert got != simulate([(drives[0], *cell[1:]) for cell in cells], 20000.0, duration,
+                               reduce)
+
+
+# Each experiment call makes one kernel call.  Patched where each module
+# binds simulate: freq_detect's binding also serves vote_bank and run_bank.
+ONE_CALL_EXPERIMENTS = {
+    "snr_sigma_sweep": ("srlab.experiments", lambda: snr_sigma_sweep(
+        CFG, SIGNAL, NoiseSpec(1.0, 20000.0, seed=1), [0.01, 0.05], 20000.0, 0.05, 3)),
+    "error_rate_table": ("srlab.freq_detect", lambda: error_rate_table(
+        CFG, [500.0, 50.0, 1000.0], DetectionSetup(duration=0.05), 3)),
+    "detect_frequency": ("srlab.freq_detect", lambda: detect_frequency(
+        CFG, DampedSine(0.1, 5.0, 500.0), NoiseSpec(0.01, 20000.0), 20000.0, 0.05)),
+    "t0_sigma_curve": ("srlab.amp_detect", lambda: t0_sigma_curve(
+        CFG, DampedSine(0.1, 5.0, 500.0), [0.0, 0.05, 0.1], 3, duration=0.05)),
+    "mean_t0_monte_carlo": ("srlab.amp_detect", lambda: mean_t0_monte_carlo(
+        CFG, DampedSine(0.1, 5.0, 500.0), 0.05, 3, 0, 20000.0, 0.05)),
+    "vote_bank": ("srlab.freq_detect", lambda: vote_bank(
+        threshold_sweep_bank([0.01, 0.02, 0.03], 0.01, 500.0), SIGNAL, 20000.0, 0.05, [0, 1])),
+    "run_bank": ("srlab.freq_detect", lambda: run_bank(
+        sigma_sweep_bank([0.01, 0.02], 0.02, 50.0), SIGNAL, 20000.0, 0.05)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CALL_EXPERIMENTS))
+def test_one_simulate_call_per_experiment(name, monkeypatch):
+    module, experiment = ONE_CALL_EXPERIMENTS[name]
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return simulate(*args)
+
+    monkeypatch.setattr(importlib.import_module(module), "simulate", counted)
+    experiment()
+    assert len(calls) == 1 and calls[0] >= 1
 
 
 class TestFindPeak:

@@ -14,8 +14,9 @@
   spectrum, SNR and peak picking that each cell used on its own;
 - the in-place arithmetic of run()'s combined input, t0_density_grid and
   expected_t0_theory against the same formulas written as expressions.
-- t0_sigma_curve, vote_bank and run_bank, each one simulate call per
-  drive, against one call per noise level and one per seed base.
+- t0_sigma_curve, vote_bank, run_bank and error_rate_table, each one
+  simulate call, against one call per noise level, per seed base and per
+  frequency.
 
 The oracles stay here as plain loops and formulas.  Equality is byte
 equality (and, for result records, the type of every field): the fast
@@ -56,6 +57,7 @@ from srlab.experiments import SweepResult, simulate, snr_sigma_sweep  # noqa: E4
 from srlab.freq_detect import (  # noqa: E402
     DetectionSetup,
     FreqDetectReport,
+    detect_frequency,
     error_rate_table,
     transition_spectrum,
 )
@@ -553,8 +555,8 @@ def per_level_curve(config, damped, sigmas, n_runs, seed_base, sample_rate, dura
         noiseless = sigma == 0.0
         runs = 1 if noiseless else n_runs
         spec = NoiseSpec(sigma=float(sigma), noise_rate=rate, seed=seed_base)
-        cells = [(config, spec, i * n_runs + r) for r in range(runs)]
-        t0s = np.asarray(simulate(signal, cells, sample_rate, duration,
+        cells = [(signal, config, spec, i * n_runs + r) for r in range(runs)]
+        t0s = np.asarray(simulate(cells, sample_rate, duration,
                                   lambda outs: [last_transition_time(o) for o in outs]))
         stats = T0Stats(float(sigma), float(t0s.mean()), float(t0s.std()), runs,
                         int(np.count_nonzero(t0s == 0.0)))
@@ -579,9 +581,9 @@ def per_seed_vote(bank, signal_spec, sample_rate, duration, seed_bases, noise_ra
 
     reports = []
     for s in seed_bases:
-        cells = [(det.config, NoiseSpec(det.sigma, rate, seed=s), i)
+        cells = [(signal, det.config, NoiseSpec(det.sigma, rate, seed=s), i)
                  for i, det in enumerate(bank.detectors)]
-        outcomes = simulate(signal, cells, sample_rate, duration, reduce)
+        outcomes = simulate(cells, sample_rate, duration, reduce)
         reports.append(BankReport(results=[
             DetectorResult(det.config.v_ut, det.sigma, r, r >= bank.min_transition_rate_hz, f)
             for det, (r, f) in zip(bank.detectors, outcomes)]))
@@ -594,6 +596,24 @@ def per_seed_vote(bank, signal_spec, sample_rate, duration, seed_bases, noise_ra
             resonating=sum(r.resonating for r in rows) * 2 > len(rows),
             f_est=most_common_estimate(r.f_est for r in rows)))
     return reports, BankReport(results=voted)
+
+
+def per_frequency_table(config, frequencies, p, repeats):
+    """error_rate_table as one simulate call per frequency, each on its own
+    drive (repeat r on seed seed_base + r, frequency i on stream i), every
+    call's spectra in one set of buffers made for the first drive."""
+    specs = [NoiseSpec(p.sigma, p.sample_rate, seed=p.seed_base + r) for r in range(repeats)]
+    reports, block = [], None
+    for i, f in enumerate(frequencies):
+        signal = generate(DampedSine(p.amplitude, p.decay, f), p.sample_rate, p.duration)
+        block = block or _SpectrumBlock(signal, repeats)
+        f_ests = simulate([(signal, config, spec, i) for spec in specs], p.sample_rate,
+                          p.duration, lambda outs: _block_peaks(
+                              block.spectrum(outs, SwitchList.write_transitions), p.dc_guard_hz))
+        for spec, f_est in zip(specs, f_ests):
+            error = None if f_est is None else 100.0 * abs(f_est - f) / f
+            reports.append(FreqDetectReport(f, f_est, error, spec.sigma, spec.seed))
+    return reports
 
 
 def typed_fields(records):
@@ -644,6 +664,28 @@ class TestOneCallPerDrive:
                 one = mean_t0_monte_carlo(config, FIG13_DRIVE, sigma, n_runs, seed, 20000.0,
                                           0.02, noise_rate, stream_base=i * n_runs)
                 assert typed_fields([one]) == typed_fields([got[i]])
+
+    # At B_DURATION a block holds 4 rows, so the one call's blocks mix
+    # frequencies; frequencies come unsorted, and HALF at sigma 0.004 leaves
+    # some runs undetected.
+    @ONE_CALL
+    @given(st.lists(st.sampled_from([50.0, 120.0, 500.0, 1000.0, 2500.0]), min_size=1,
+                    max_size=3, unique=True),
+           st.integers(1, 3), st.integers(0, 20), st.sampled_from([None, 0.0, 30.0, 200.0]),
+           st.sampled_from([ideal_config(), HALF]), st.sampled_from([0.01, 0.004]))
+    def test_error_table_equals_per_frequency_calls(self, frequencies, repeats, seed, guard,
+                                                    config, sigma):
+        setup = DetectionSetup(sigma=sigma, duration=B_DURATION, seed_base=seed,
+                               dc_guard_hz=guard)
+        got = error_rate_table(config, frequencies, setup, repeats)
+        assert typed_fields(got) == typed_fields(
+            per_frequency_table(config, frequencies, setup, repeats))
+        for i, f in enumerate(frequencies):
+            for r in range(repeats):
+                one = detect_frequency(config, DampedSine(setup.amplitude, setup.decay, f),
+                                       NoiseSpec(setup.sigma, setup.sample_rate, seed=seed + r),
+                                       setup.sample_rate, setup.duration, guard, stream=i)
+                assert typed_fields([one]) == typed_fields([got[i * repeats + r]])
 
     # n = 8 000 puts 8 rows in a block, so up to 15 cells cross a block
     # boundary inside a seed base.
