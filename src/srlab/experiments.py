@@ -12,11 +12,14 @@ sweep here, frequency detection, last-transition curves and detector banks).
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from srlab.noise import NoiseSpec, generate_noise
+from srlab.noise import NoiseSpec, _draw_noise, generate_noise
 from srlab.signals import SignalSpec, Trace, generate, n_samples_for
 from srlab.spectral import _SpectrumBlock, block_rows, signal_bin, snr_db
 from srlab.trigger import SwitchList, TriggerConfig, run
@@ -53,6 +56,29 @@ class SweepResult:
         return int(self.sigmas.size)
 
 
+# Noise is drawn on a small thread pool, made on first use: numpy releases
+# the GIL inside the Philox normal draw, and each (seed, stream) is
+# independent of the others.  The calling thread keeps the comparator and the
+# reducers, about a quarter of a t0 curve, so workers beyond four have
+# little left to overlap with.  A forked child drops the parent's pool,
+# whose threads do not exist in it, and makes its own.
+_POOL: list = []  # [(executor, workers)] once made
+
+
+def _draw_pool():
+    if not _POOL:
+        # the CPUs this process may run on, where the OS says
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(cpus, 4)
+        _POOL.append((ThreadPoolExecutor(workers, thread_name_prefix="srlab-noise"), workers))
+    return _POOL[0]
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, where nothing forks
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
 def simulate(cells, sample_rate: float, duration: float, reduce) -> list:
     """The Monte-Carlo step of every experiment: for each cell
     (drive, trigger_config, noise_spec, stream), drive the comparator with
@@ -64,15 +90,41 @@ def simulate(cells, sample_rate: float, duration: float, reduce) -> list:
     in one FFT, and runs of BLOCK_SAMPLES samples or more are reduced one
     at a time; run() refuses a drive on another grid.  Results come back in
     cell order; the caller picks every cell's address, so each experiment
-    keeps its own stream layout and makes one call."""
+    keeps its own stream layout and makes one call.
+
+    The noise of the next workers + block_rows(n) cells is drawn ahead on
+    the draw pool, so the workers keep drawing while reduce takes a full
+    block, and at most that many noise arrays are held at once.  The
+    comparator and reduce run on the calling thread, in cell order, so the
+    results do not depend on the number of workers.  If anything
+    raises, the draws not yet started are cancelled and the running ones
+    waited for before the exception propagates."""
     size = block_rows(n_samples_for(sample_rate, duration))
-    results, block = [], []
-    for drive, config, spec, stream in cells:
-        noise = generate_noise(spec, sample_rate, duration, stream=stream)
-        block.append(run(config, drive, noise))
+    pool, workers = _draw_pool()
+    window = workers + size
+    results, block, pending = [], [], deque()
+
+    def step():
+        nonlocal block
+        drive, config, draw = pending.popleft()
+        block.append(run(config, drive, draw.result()))
         if len(block) == size:
             results.extend(reduce(block))
             block = []
+
+    try:
+        for drive, config, spec, stream in cells:
+            pending.append((drive, config,
+                            pool.submit(_draw_noise, spec, sample_rate, duration, stream)))
+            if len(pending) == window:
+                step()
+        while pending:
+            step()
+    except BaseException:
+        for _, _, draw in pending:
+            draw.cancel()
+        wait([draw for _, _, draw in pending])
+        raise
     if block:
         results.extend(reduce(block))
     return results

@@ -22,7 +22,7 @@ import numpy as np
 from srlab.experiments import SweepResult, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
-from srlab.spectral import Spectrum, _block_peaks, _SpectrumBlock, periodogram
+from srlab.spectral import Spectrum, _block_peaks, _check_dc_guard, _SpectrumBlock, periodogram
 from srlab.trigger import SwitchList, TriggerConfig, transition_count
 
 
@@ -72,6 +72,9 @@ class DetectionSetup:
     seed_base: int = 0
     dc_guard_hz: float | None = None
 
+    def __post_init__(self):
+        _check_dc_guard(self.dc_guard_hz)
+
 
 def transition_spectrum(output: SwitchList) -> Spectrum:
     """Spectrum of the output's transition train (SwitchList.write_transitions),
@@ -83,7 +86,9 @@ def transition_spectrum(output: SwitchList) -> Spectrum:
 def _transition_peaks(cells, sample_rate, duration, dc_guard_hz=None) -> list:
     # (transition rate, f_est) of every simulate cell: the output's switches
     # per second and the second peak of its transition-train spectrum, in one
-    # simulate call; every cell is on the first drive's grid, so one block fits
+    # simulate call; every cell is on the first drive's grid, so one block fits.
+    # A bad guard is refused here, before any noise is drawn
+    _check_dc_guard(dc_guard_hz)
     block = _SpectrumBlock(cells[0][0], len(cells))
 
     def reduce(outs):

@@ -67,6 +67,13 @@ def generate_noise(
     sample_rate / m (integer m) each draw therefore repeats exactly m times.
     Output is fully determined by (spec, sample_rate, duration, stream).
     """
+    return _draw_noise(spec, sample_rate, duration, stream)
+
+
+def _draw_noise(spec: NoiseSpec, sample_rate: float, duration: float, stream: int) -> Trace:
+    # The body of generate_noise under a private name: experiments.simulate
+    # draws on pool threads through it, out of reach of wrappers around the
+    # public name
     n = n_samples_for(sample_rate, duration)
     ratio = sample_rate / spec.noise_rate
     m = round(ratio)

@@ -74,8 +74,10 @@ SignalSpec = Union[Sine, DampedSine]
 
 
 # Largest grid any run may use: 2**25 = 33 554 432 samples, 256 MiB per
-# float64 array, and a run holds several such arrays at once.  A mistyped
-# duration or rate is refused here, before anything is allocated.
+# float64 array, and a run holds several such arrays at once: its drive, the
+# comparator's input and, in experiments.simulate, up to workers + 1 noise
+# arrays drawn ahead (at most five).  A mistyped duration or rate is refused
+# here, before anything is allocated.
 MAX_SAMPLES = 2**25
 
 

@@ -172,15 +172,20 @@ def _first_candidate(spectrum: Spectrum, dc_guard_hz: float | None) -> int:
     # The first bin k >= 1 whose frequency df * k exceeds dc_guard_hz; the
     # floor of the quotient never passes it and falls at most two bins short.
     df = spectrum.df
+    _check_dc_guard(dc_guard_hz)
     if dc_guard_hz is None:
         dc_guard_hz = 2.0 * df
-    elif not 0.0 <= dc_guard_hz < math.inf:
-        raise ValueError(f"dc_guard_hz must be finite and >= 0, got {dc_guard_hz}")
     size = spectrum.mag_db.shape[-1]
     lo = max(1, math.floor(min(dc_guard_hz / df, size)))
     while lo < size and not df * lo > dc_guard_hz:
         lo += 1
     return lo
+
+
+def _check_dc_guard(dc_guard_hz: float | None) -> None:
+    # None picks the default guard; any other guard is a finite frequency >= 0
+    if dc_guard_hz is not None and not 0.0 <= dc_guard_hz < math.inf:
+        raise ValueError(f"dc_guard_hz must be finite and >= 0, got {dc_guard_hz}")
 
 
 def _peak_frequency(mags: np.ndarray, df: float, lo: int) -> float | None:

@@ -1,4 +1,8 @@
 import importlib
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +37,24 @@ def _small_sweep(seed=0, repeats=4):
         0.2,
         repeats=repeats,
     )
+
+
+def count_draws(monkeypatch) -> dict:
+    """Count the noise draws simulate starts and finishes on its pool."""
+    draw, lock = srlab.experiments._draw_noise, threading.Lock()
+    counts = {"started": 0, "finished": 0}
+
+    def counted(*args):
+        with lock:
+            counts["started"] += 1
+        try:
+            return draw(*args)
+        finally:
+            with lock:
+                counts["finished"] += 1
+
+    monkeypatch.setattr(srlab.experiments, "_draw_noise", counted)
+    return counts
 
 
 class TestSweepResult:
@@ -99,13 +121,11 @@ class TestSweep:
 
     def test_sub_bin_frequency_refused_before_noise_is_drawn(self, monkeypatch):
         # at 0.01 s a bin is 100 Hz wide, so 0.5 Hz would be read at DC
-        def no_noise(*args, **kwargs):
-            raise AssertionError("noise drawn before the frequency was checked")
-
-        monkeypatch.setattr(srlab.experiments, "generate_noise", no_noise)
+        draws = count_draws(monkeypatch)
         with pytest.raises(ValueError, match="half a bin"):
             snr_sigma_sweep(CFG, Sine(0.05, 0.5), NoiseSpec(1.0, 20000.0), [0.01, 0.02],
                             20000.0, 0.01, repeats=2)
+        assert draws == {"started": 0, "finished": 0}
 
     def test_grid_validation(self):
         ns = NoiseSpec(1.0, 20000.0, seed=0)
@@ -161,6 +181,115 @@ class TestSimulate:
         # the drive reaches each cell's output: on the first drive alone they differ
         assert got != simulate([(drives[0], *cell[1:]) for cell in cells], 20000.0, duration,
                                reduce)
+
+
+POOL_DRIVE = generate(SIGNAL, 20000.0, 0.4)  # 8 000 samples, 8 rows a block
+
+
+class TestDrawPool:
+    N = POOL_DRIVE.n_samples
+    CELLS = [(POOL_DRIVE, CFG, NoiseSpec(0.05, 20000.0, seed=2), k) for k in range(40)]
+
+    def test_worker_count(self):
+        _, workers = srlab.experiments._draw_pool()
+        assert workers == min(len(os.sched_getaffinity(0)), 4)
+
+    def test_draws_run_at_most_a_window_ahead(self, monkeypatch):
+        # the noise arrays held at once: drawn, or being drawn, and not yet run
+        draws = count_draws(monkeypatch)
+        _, workers = srlab.experiments._draw_pool()
+        ahead = []
+
+        def counted_run(config, drive, noise):
+            ahead.append(draws["started"] - len(ahead))
+            return run(config, drive, noise)
+
+        monkeypatch.setattr(srlab.experiments, "run", counted_run)
+        simulate(self.CELLS, 20000.0, self.N / 20000.0, lambda outs: outs)
+        assert len(ahead) == len(self.CELLS) == draws["finished"]
+        assert 1 <= max(ahead) <= workers + 8
+
+    @pytest.mark.parametrize("where", ["reduce", "run", "draw"])
+    def test_no_draw_outlives_a_raising_call(self, monkeypatch, where):
+        draws = count_draws(monkeypatch)
+        cells = list(self.CELLS)
+        if where == "run":  # a drive on another grid, refused by run()
+            cells[11] = (generate(SIGNAL, 20000.0, 0.1), *cells[11][1:])
+        if where == "draw":  # a stream that SeedSequence refuses
+            cells[11] = (*cells[11][:3], -1)
+
+        def reduce(outs):
+            if where == "reduce":
+                raise ZeroDivisionError("reducer failed")
+            return outs
+
+        with pytest.raises((ZeroDivisionError, ValueError)):
+            simulate(cells, 20000.0, self.N / 20000.0, reduce)
+        after = dict(draws)
+        assert after["started"] == after["finished"] < len(cells)
+        time.sleep(0.05)
+        assert draws == after
+        # the pool is still usable
+        assert len(simulate(self.CELLS[:3], 20000.0, self.N / 20000.0, lambda outs: outs)) == 3
+
+    def test_concurrent_callers_share_the_pool(self):
+        # more calling threads than workers and cores, switching often
+        def digest(k):
+            cells = [(*cell[:3], 100 * k + cell[3]) for cell in self.CELLS]
+            outs = simulate(cells, 20000.0, self.N / 20000.0, lambda outs: outs)
+            return b"".join(out.switches.tobytes() for out in outs)
+
+        want = [digest(k) for k in range(6)]
+        got = [None] * 6
+
+        def caller(k):
+            got[k] = digest(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    # Python 3.12 on warns that forking a process with threads may deadlock:
+    # the case this test makes
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_makes_its_own_pool(self):
+        def digest():
+            outs = simulate(self.CELLS, 20000.0, self.N / 20000.0, lambda outs: outs)
+            return b"".join(out.switches.tobytes() for out in outs)
+
+        want = digest()  # the parent's pool now has running threads
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: the parent's worker threads do not exist here
+            os.close(read)
+            try:
+                got = digest()
+                os.write(write, b"same" if got == want else b"diff")
+                code = 0 if got == want else 1
+            except BaseException:
+                code = 2
+            os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung in simulate")
+            time.sleep(0.01)
+        with os.fdopen(read, "rb") as pipe:
+            said = pipe.read()
+        assert (os.waitstatus_to_exitcode(done[1]), said) == (0, b"same")
+        assert digest() == want  # and the parent's pool still works
 
 
 # Each experiment call makes one kernel call.  Patched where each module

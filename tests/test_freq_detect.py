@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import srlab.experiments
+from srlab.cli import main
 from srlab.freq_detect import (
     DetectionSetup,
     FreqDetectReport,
@@ -111,6 +113,49 @@ class TestDetectFrequency:
         a = detect_frequency(CFG, damped, NoiseSpec(0.01, 20000.0, seed=4), 20000.0, 0.4)
         b = detect_frequency(CFG, damped, NoiseSpec(0.01, 20000.0, seed=4), 20000.0, 0.4)
         assert a == b
+
+
+BAD_GUARDS = [float("nan"), float("inf"), -float("inf"), -5.0, -1e-300]
+
+
+class TestDcGuard:
+    """A guard that is not a finite frequency >= 0 is refused before any
+    noise is drawn."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(srlab.experiments, "_draw_noise",
+                            lambda *args: drawn.append(args) or 1 / 0)
+        return drawn
+
+    @pytest.mark.parametrize("guard", BAD_GUARDS)
+    def test_setup_refuses(self, guard):
+        with pytest.raises(ValueError, match="dc_guard_hz must be finite and >= 0"):
+            DetectionSetup(dc_guard_hz=guard)
+
+    @pytest.mark.parametrize("guard", BAD_GUARDS)
+    def test_detector_refuses_before_drawing(self, draws, guard):
+        with pytest.raises(ValueError, match="dc_guard_hz must be finite and >= 0"):
+            detect_frequency(CFG, DampedSine(0.1, 5.0, 500.0), NoiseSpec(0.01, 20000.0),
+                             20000.0, 0.05, dc_guard_hz=guard)
+        assert draws == []
+
+    @pytest.mark.parametrize("argv", [
+        ["detect-freq", "--dc-guard", "nan"],
+        ["detect-freq", "--dc-guard", "-5"],
+        ["freq-table", "--dc-guard", "inf", "--frequencies", "50,500", "--repeats", "2"],
+        ["freq-table", "--dc-guard", "-5", "--frequencies", "50,500", "--repeats", "2"],
+    ], ids=lambda argv: "_".join(argv[:3]))
+    def test_cli_exits_2_before_drawing(self, draws, tmp_path, argv):
+        assert main([*argv, "--duration", "0.05", "--out-dir", str(tmp_path / "out")]) == 2
+        assert draws == []
+
+    def test_zero_and_default_guards_run(self):
+        for guard in (None, 0.0):
+            report = detect_frequency(CFG, DampedSine(0.1, 5.0, 500.0), NoiseSpec(0.01, 20000.0),
+                                      20000.0, 0.05, dc_guard_hz=guard)
+            assert report.f_true == 500.0
 
 
 class TestErrorTable:

@@ -16,7 +16,10 @@
   expected_t0_theory against the same formulas written as expressions.
 - t0_sigma_curve, vote_bank, run_bank and error_rate_table, each one
   simulate call, against one call per noise level, per seed base and per
-  frequency.
+  frequency;
+- simulate, which draws noise ahead on a thread pool, against a plain
+  serial loop of run(config, drive, generate_noise(...)) reduced in the
+  same blocks.
 
 The oracles stay here as plain loops and formulas.  Equality is byte
 equality (and, for result records, the type of every field): the fast
@@ -765,3 +768,77 @@ class TestInPlace:
         assert np.float64(theory).tobytes() == np.float64(
             expression_t0_theory(gap, sigma)).tobytes()
         assert gap.values.tobytes() == before
+
+
+def serial_simulate(cells, sample_rate, duration, reduce):
+    """simulate as a plain loop on the calling thread: each cell drawn with
+    generate_noise and run in turn, the outputs reduced block_rows(n) at a
+    time."""
+    size = block_rows(n_samples_for(sample_rate, duration))
+    outs = [run(config, drive, generate_noise(spec, sample_rate, duration, stream=stream))
+            for drive, config, spec, stream in cells]
+    return [r for i in range(0, len(outs), size) for r in reduce(outs[i:i + size])]
+
+
+# (duration at 20 kHz, most cells): 400 samples give blocks of 163 rows,
+# 8 000 of 8 and 30 000 of 2; 65 536 (BLOCK_SAMPLES) and 70 000 are one row
+# a block.  The most cells make two full blocks and a remainder of one to
+# four rows, and more cells than simulate draws ahead.
+POOLED_GRIDS = [(0.02, 330), (0.4, 17), (1.5, 5), (BLOCK_SAMPLES / 20000.0, 3), (3.5, 3)]
+POOLED_DRIVES = [Sine(0.05, 500.0), Sine(0.3, 120.0), DampedSine(0.4, 5.0, 700.0)]
+
+
+@st.composite
+def pooled_cells(draw):
+    """Cells of mixed drives, comparators, noise levels (σ = 0 and -0.0
+    among them), hold ratios, seeds and streams on one grid."""
+    duration, most = draw(st.sampled_from(POOLED_GRIDS))
+    drives = [generate(d, 20000.0, duration) for d in POOLED_DRIVES]
+    cell = st.tuples(st.sampled_from(drives), st.sampled_from([ideal_config(), HALF]),
+                     st.sampled_from([0.0, -0.0, 0.01, 0.05, 0.3]),
+                     st.sampled_from([20000.0, 5000.0, 3000.0]), st.integers(0, 3),
+                     st.integers(0, 2**20))
+    count = draw(st.one_of(st.just(1), st.just(most), st.integers(2, most)))
+    cells = [(drive, config, NoiseSpec(sigma, rate, seed=seed), stream)
+             for drive, config, sigma, rate, seed, stream in draw(st.lists(
+                 cell, min_size=count, max_size=count))]
+    return cells, duration
+
+
+def cycled_cells(duration, count):
+    """count cells on one grid cycling through every drive, comparator,
+    noise level and hold ratio pooled_cells draws from."""
+    drives = [generate(d, 20000.0, duration) for d in POOLED_DRIVES]
+    configs, rates = [ideal_config(), HALF], [20000.0, 5000.0, 3000.0]
+    sigmas = [0.0, -0.0, 0.01, 0.05, 0.3]
+    return [(drives[k % 3], configs[k % 2], NoiseSpec(sigmas[k % 5], rates[k % 3], seed=k % 4), k)
+            for k in range(count)], duration
+
+
+class TestPooledDraws:
+    @ONE_CALL
+    @given(pooled_cells())
+    @example(cycled_cells(0.02, 330))
+    @example(cycled_cells(0.4, 17))
+    @example(cycled_cells(1.5, 5))
+    def test_simulate_equals_serial_loop(self, cells_duration):
+        cells, duration = cells_duration
+
+        def reducer(sizes):
+            def reduce(outs):
+                sizes.append(len(outs))
+                return list(outs)
+            return reduce
+
+        got_sizes, want_sizes = [], []
+        got = simulate(cells, 20000.0, duration, reducer(got_sizes))
+        want = serial_simulate(cells, 20000.0, duration, reducer(want_sizes))
+        assert got_sizes == want_sizes
+        assert len(got) == len(cells)
+        for a, b in zip(got, want):
+            assert [(f.name, type(getattr(a, f.name))) for f in fields(a)] == \
+                [(f.name, type(getattr(b, f.name))) for f in fields(b)]
+            assert (a.dt, a.n_samples, a.first_high, a.v_sat_pos, a.v_sat_neg) == \
+                (b.dt, b.n_samples, b.first_high, b.v_sat_pos, b.v_sat_neg)
+            assert a.switches.dtype == b.switches.dtype
+            assert a.switches.tobytes() == b.switches.tobytes()
