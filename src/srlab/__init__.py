@@ -57,7 +57,6 @@ from srlab.amp_detect import (
     FitError,
     SigmoidFit,
     T0Stats,
-    ThresholdGap,
     calibrate_and_estimate_decay,
     envelope_gap,
     expected_t0_for_config,
@@ -104,7 +103,6 @@ __all__ = [
     "SweepResult",
     "SwitchList",
     "T0Stats",
-    "ThresholdGap",
     "Trace",
     "TriggerConfig",
     "TriggerState",

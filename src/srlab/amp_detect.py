@@ -34,9 +34,9 @@ import numpy as np
 # optimize and interpolate packages would make every `import srlab` take
 # about four times as long and twice the memory, though the sweep,
 # hysteresis, frequency-detection and bank paths never call scipy.
-from srlab.experiments import increasing_grid, simulate
+from srlab.experiments import check_cells, increasing_grid, simulate
 from srlab.noise import NoiseSpec
-from srlab.signals import DampedSine, envelope, generate, n_samples_for
+from srlab.signals import DampedSine, Trace, envelope, generate, n_samples_for
 from srlab.trigger import SwitchList, TriggerConfig
 
 
@@ -44,36 +44,15 @@ class FitError(RuntimeError):
     """Raised when a curve fit fails to converge or produces garbage."""
 
 
-@dataclass(frozen=True)
-class ThresholdGap:
-    """Threshold-minus-envelope values v(t_k) on a uniform time grid.
-
-    values[k] is the remaining gap at t_k = k*dt, comparator-referred.  All
-    probability-model quantities are computed on this grid.
-    """
-
-    values: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ValueError("gap values must be a 1-D array of >= 2 points")
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.size)
-
-
 def envelope_gap(
     trigger_config: TriggerConfig,
     damped: DampedSine,
     sample_rate: float,
     duration: float,
-) -> ThresholdGap:
-    """Gap between the upper threshold and the attenuated drive envelope,
-    on the same grid a simulation of (sample_rate, duration) would use.
+) -> Trace:
+    """Gap v(t_k) between the upper threshold and the attenuated drive
+    envelope, comparator-referred, on the same grid a simulation of
+    (sample_rate, duration) would use; the probability model reads it.
 
     The comparator sees attenuation * signal, so the envelope is scaled by
     input_attenuation before subtracting from v_ut.
@@ -82,10 +61,10 @@ def envelope_gap(
     dt = 1.0 / sample_rate
     t = dt * np.arange(n)
     scaled = trigger_config.input_attenuation * envelope(damped, t)
-    return ThresholdGap(values=trigger_config.v_ut - scaled, dt=dt)
+    return Trace(dt, trigger_config.v_ut - scaled)
 
 
-def t0_density_grid(gap: ThresholdGap, sigma: float) -> np.ndarray:
+def t0_density_grid(gap: Trace, sigma: float) -> np.ndarray:
     """Last-transition-time density over the gap's whole grid, 1/s.
 
     Entry k is the per-step crossing probability Phi(-v_k/sigma) times the
@@ -99,10 +78,12 @@ def t0_density_grid(gap: ThresholdGap, sigma: float) -> np.ndarray:
 
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    if gap.n_samples < 2:
+        raise ValueError("the gap needs >= 2 grid points")
     # In place where a step would allocate a fresh grid-sized array, in the
     # order of 0.5 * (l[1:] + l[:-1]) * dt, cum[-1] - cum and
     # ndtr(-x) * exp(suffix / dt) / dt, so the bytes are those formulas'.
-    x = gap.values / sigma
+    x = gap.samples / sigma
     ln_hold = log_ndtr(x)
     steps = ln_hold[1:] + ln_hold[:-1]
     steps *= 0.5
@@ -120,7 +101,7 @@ def t0_density_grid(gap: ThresholdGap, sigma: float) -> np.ndarray:
     return dens
 
 
-def expected_t0_theory(gap: ThresholdGap, sigma: float) -> float:
+def expected_t0_theory(gap: Trace, sigma: float) -> float:
     """Mean last-transition time predicted by the probability model.
 
     The density is a per-step probability mass spread over dt, so the
@@ -204,7 +185,8 @@ def mean_t0_monte_carlo(
     signal = generate(damped, sample_rate, duration)
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    spec = NoiseSpec(sigma, noise_rate if noise_rate is not None else sample_rate, seed_base)
+    check_cells(n_runs, "n_runs")
+    spec = NoiseSpec(sigma, noise_rate, seed_base)
     cells = [(signal, trigger_config, spec, stream_base + r) for r in range(n_runs)]
     return _t0_stats(float(sigma), _last_times(cells, sample_rate, duration), n_runs)
 
@@ -247,9 +229,9 @@ def t0_sigma_curve(
     signal = generate(damped, sample_rate, duration)
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    rate = noise_rate if noise_rate is not None else sample_rate
+    check_cells(len(sigmas) * n_runs, "n_runs")
     runs = [1 if sigma == 0.0 else n_runs for sigma in sigmas]
-    cells = [(signal, trigger_config, NoiseSpec(sigma, rate, seed_base), i * n_runs + r)
+    cells = [(signal, trigger_config, NoiseSpec(sigma, noise_rate, seed_base), i * n_runs + r)
              for i, (sigma, k) in enumerate(zip(sigmas, runs)) for r in range(k)]
     levels = np.split(_last_times(cells, sample_rate, duration), np.cumsum(runs)[:-1])
     return [_t0_stats(sigma + 0.0, t0s, n_runs) for sigma, t0s in zip(sigmas, levels)]

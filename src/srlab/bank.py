@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections import Counter
+from collections.abc import Sized
 
 import numpy as np
 
-from srlab.experiments import increasing_grid
+from srlab.experiments import check_cells, increasing_grid
 from srlab.freq_detect import _transition_peaks
 from srlab.noise import NoiseSpec
 from srlab.signals import SignalSpec, generate
@@ -179,11 +180,13 @@ def vote_bank(
     frequency estimate the most common detected value (ties to the lowest).
     The voted pattern is what the amplitude bracket should be read from.
     """
+    if not isinstance(seed_bases, Sized):  # an iterator is counted once listed
+        seed_bases = list(seed_bases)
+    check_cells(len(seed_bases) * len(bank.detectors), "seed_bases")
     seed_bases = list(seed_bases)
     if not seed_bases:
         raise ValueError("need at least one seed base to vote over")
     signal = generate(signal_spec, sample_rate, duration)
-    noise_rate = noise_rate if noise_rate is not None else sample_rate
     # One simulate call over every (seed, channel) cell, seed-major;
     # channel i uses stream i of each seed base.
     cells = [(signal, det.config, NoiseSpec(det.sigma, noise_rate, seed=s), i)

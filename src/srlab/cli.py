@@ -167,6 +167,7 @@ def _signal(p: dict):
 
 
 def _noise(p: dict) -> NoiseSpec:
+    # resolved here, not by NoiseSpec: bench's generate_noise tracer divides by it
     rate = p["noise_rate"] if p["noise_rate"] is not None else p["sample_rate"]
     return NoiseSpec(sigma=p.get("sigma", 1.0), noise_rate=rate, seed=p["seed"])
 

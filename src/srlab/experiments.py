@@ -12,6 +12,7 @@ sweep here, frequency detection, last-transition curves and detector banks).
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -62,21 +63,33 @@ class SweepResult:
 # reducers, about a quarter of a t0 curve, so workers beyond four have
 # little left to overlap with.  A forked child drops the parent's pool,
 # whose threads do not exist in it, and makes its own.
-_POOL: list = []  # [(executor, workers)] once made
-
-
+@functools.cache
 def _draw_pool():
-    if not _POOL:
-        # the CPUs this process may run on, where the OS says
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        workers = min(cpus, 4)
-        _POOL.append((ThreadPoolExecutor(workers, thread_name_prefix="srlab-noise"), workers))
-    return _POOL[0]
+    # the CPUs this process may run on, where the OS says
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, 4)
+    return ThreadPoolExecutor(workers, thread_name_prefix="srlab-noise"), workers
 
 
 if hasattr(os, "register_at_fork"):  # not on Windows, where nothing forks
-    os.register_at_fork(after_in_child=_POOL.clear)
+    os.register_at_fork(after_in_child=_draw_pool.cache_clear)
+
+
+# Most cells one experiment call may simulate.  Every experiment builds its
+# whole cell list before simulate runs, so a mistyped run count is refused
+# here, before that list exists; the largest preset, fig13, has 2 501 cells.
+MAX_CELLS = 2**20
+
+
+def check_cells(count: int, name: str) -> None:
+    """Refuse an experiment call of more than MAX_CELLS cells, naming the
+    parameter `name` that sets its count."""
+    if count > MAX_CELLS:
+        raise ValueError(
+            f"{name} asks for {count} cells, above the ceiling of {MAX_CELLS} "
+            f"cells per experiment call"
+        )
 
 
 def simulate(cells, sample_rate: float, duration: float, reduce) -> list:
@@ -161,6 +174,7 @@ def snr_sigma_sweep(
     sigmas = increasing_grid(sigmas, "sigma grid")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_cells(sigmas.size * repeats, "repeats")
     f_signal = signal_spec.frequency
     signal = generate(signal_spec, sample_rate, duration)
     specs = [replace(noise_template, sigma=float(sigma)) for sigma in sigmas]

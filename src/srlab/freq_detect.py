@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.experiments import SweepResult, simulate, snr_sigma_sweep
+from srlab.experiments import SweepResult, check_cells, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
 from srlab.spectral import Spectrum, _block_peaks, _check_dc_guard, _SpectrumBlock, periodogram
@@ -159,10 +159,11 @@ def error_rate_table(
         seen.add(f)
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_cells(len(frequencies) * repeats, "repeats")
     p = base_params
     damped = [DampedSine(p.amplitude, p.decay, f) for f in frequencies]
     drives = [generate(d, p.sample_rate, p.duration) for d in damped]
-    specs = [NoiseSpec(sigma=p.sigma, noise_rate=p.sample_rate, seed=p.seed_base + r)
+    specs = [NoiseSpec(sigma=p.sigma, seed=p.seed_base + r)
              for r in range(repeats)]
     runs = [(d, drive, spec, i) for i, (d, drive) in enumerate(zip(damped, drives))
             for spec in specs]
@@ -218,10 +219,7 @@ def optimal_sigma_search(
     """
     if not isinstance(damped, DampedSine):
         raise ValueError(f"expected a damped sinusoid, got {damped!r}")
-    template = NoiseSpec(
-        sigma=1.0, noise_rate=noise_rate if noise_rate is not None else sample_rate,
-        seed=seed_base,
-    )
+    template = NoiseSpec(sigma=1.0, noise_rate=noise_rate, seed=seed_base)
     curve = snr_sigma_sweep(
         trigger_config, damped, template, sigmas, sample_rate, duration, repeats
     )

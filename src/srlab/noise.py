@@ -25,19 +25,20 @@ class NoiseSpec:
 
     sigma       standard deviation of the raw draws, volts
     noise_rate  rate at which fresh values are drawn, Hz; samples between
-                draws repeat the previous value (zero-order hold)
+                draws repeat the previous value (zero-order hold).  None,
+                the default, draws one value per grid sample
     seed        base seed in [0, 2**64); combined with a stream index at
                 generation time
     """
 
     sigma: float
-    noise_rate: float
+    noise_rate: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not 0.0 < self.noise_rate < math.inf:
+        if self.noise_rate is not None and not 0.0 < self.noise_rate < math.inf:
             raise ValueError(f"noise_rate must be finite and > 0, got {self.noise_rate}")
         _check_seed(self.seed)
 
@@ -61,7 +62,8 @@ def generate_noise(
     spec: NoiseSpec, sample_rate: float, duration: float, stream: int = 0
 ) -> Trace:
     """Draw clipped Gaussian noise at spec.noise_rate and hold it onto the
-    output grid at sample_rate.
+    output grid at sample_rate; a noise_rate of None draws one value per
+    sample, as noise_rate = sample_rate does.
 
     Draw k covers times [k/noise_rate, (k+1)/noise_rate); with noise_rate =
     sample_rate / m (integer m) each draw therefore repeats exactly m times.
@@ -75,7 +77,7 @@ def _draw_noise(spec: NoiseSpec, sample_rate: float, duration: float, stream: in
     # draws on pool threads through it, out of reach of wrappers around the
     # public name
     n = n_samples_for(sample_rate, duration)
-    ratio = sample_rate / spec.noise_rate
+    ratio = 1 if spec.noise_rate is None else sample_rate / spec.noise_rate
     m = round(ratio)
     if m >= 1 and abs(ratio - m) < 1e-9:
         ratio = m  # snap a near-whole ratio: draws then repeat exactly m times

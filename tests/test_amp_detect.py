@@ -9,7 +9,6 @@ from srlab.amp_detect import (
     FitError,
     SigmoidFit,
     T0Stats,
-    ThresholdGap,
     calibrate_and_estimate_decay,
     envelope_gap,
     expected_t0_for_config,
@@ -41,24 +40,24 @@ def _sigmoid(x, a, c, plateau=1.5):
 class TestThresholdGap:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ThresholdGap(np.zeros(5), dt=0.0)
+            Trace(0.0, np.zeros(5))
         with pytest.raises(ValueError):
-            ThresholdGap(np.zeros(1), dt=1e-4)
+            t0_density_grid(Trace(1e-4, np.zeros(1)), 0.1)
         with pytest.raises(ValueError):
-            ThresholdGap(np.zeros((2, 2)), dt=1e-4)
+            Trace(1e-4, np.zeros((2, 2)))
 
     def test_grid_accessors(self):
-        gap = ThresholdGap(np.zeros(5), dt=0.25)
+        gap = Trace(0.25, np.zeros(5))
         np.testing.assert_allclose(gap.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_envelope_gap_formula(self):
         gap = envelope_gap(CFG4, DRIVE, 20000.0, 0.01)
-        assert gap.values.size == n_samples_for(20000.0, 0.01)
+        assert gap.samples.size == n_samples_for(20000.0, 0.01)
         t = gap.times()
         expected = CFG4.v_ut - 0.5 * envelope(DRIVE, t)
-        np.testing.assert_allclose(gap.values, expected, atol=1e-15)
+        np.testing.assert_allclose(gap.samples, expected, atol=1e-15)
         # decaying drive: the gap only opens with time
-        assert np.all(np.diff(gap.values) > 0.0)
+        assert np.all(np.diff(gap.samples) > 0.0)
 
 
 class TestDensityGrid:
@@ -69,7 +68,7 @@ class TestDensityGrid:
         values = np.linspace(-0.03, 0.15, 12)
         dt = 1e-3
         sigma = 0.05
-        gap = ThresholdGap(values, dt=dt)
+        gap = Trace(dt, values)
         dens = t0_density_grid(gap, sigma)
 
         n = values.size
@@ -87,7 +86,7 @@ class TestDensityGrid:
         # v == 0 everywhere: each step crosses with chance 1/2, so
         # mass_k = 0.5^(n-k) exactly
         n = 20
-        gap = ThresholdGap(np.zeros(n), dt=1e-3)
+        gap = Trace(1e-3, np.zeros(n))
         masses = t0_density_grid(gap, 0.1) * gap.dt
         expected = 0.5 ** (n - np.arange(n))
         np.testing.assert_allclose(masses, expected, rtol=1e-12)
@@ -99,8 +98,16 @@ class TestDensityGrid:
             assert total <= 1.0 + 1e-12
             assert total >= 0.0
 
+    def test_one_point_gap_refused(self):
+        # the model needs one step between two grid points
+        gap = Trace(1e-3, np.full(1, 0.1))
+        with pytest.raises(ValueError, match="2 grid points"):
+            t0_density_grid(gap, 0.1)
+        with pytest.raises(ValueError, match="2 grid points"):
+            expected_t0_theory(gap, 0.1)
+
     def test_sigma_validated(self):
-        gap = ThresholdGap(np.full(5, 0.1), dt=1e-3)
+        gap = Trace(1e-3, np.full(5, 0.1))
         with pytest.raises(ValueError):
             t0_density_grid(gap, 0.0)
         with pytest.raises(ValueError):
@@ -111,7 +118,7 @@ class TestExpectedT0:
     def test_zero_gap_closed_form_expectation(self):
         n = 30
         dt = 1e-3
-        gap = ThresholdGap(np.zeros(n), dt=dt)
+        gap = Trace(dt, np.zeros(n))
         k = np.arange(n)
         expected = float(np.sum(k * dt * 0.5 ** (n - k)))
         assert expected_t0_theory(gap, 0.2) == pytest.approx(expected, rel=1e-12)
@@ -200,6 +207,8 @@ class TestMonteCarlo:
     def test_n_runs_validated(self):
         with pytest.raises(ValueError):
             mean_t0_monte_carlo(CFG4, DRIVE, 0.2, 0, 0, 20000.0, 0.5)
+        with pytest.raises(ValueError, match="n_runs"):  # the cell ceiling
+            mean_t0_monte_carlo(CFG4, DRIVE, 0.2, 10**12, 0, 20000.0, 0.5)
 
     def test_theory_tracks_monte_carlo(self):
         # one mid-curve point of the acceptance-scale comparison

@@ -199,6 +199,10 @@ class TestVoteBank:
         bank = threshold_sweep_bank(THRESHOLDS[:2], 0.002, 250.0)
         with pytest.raises(ValueError):
             vote_bank(bank, SIGNAL, 20000.0, 0.2, seed_bases=[])
+        with pytest.raises(ValueError):
+            vote_bank(bank, SIGNAL, 20000.0, 0.2, seed_bases=iter([]))
+        with pytest.raises(ValueError, match="seed_bases"):  # the cell ceiling
+            vote_bank(bank, SIGNAL, 20000.0, 0.2, seed_bases=range(10**12))
 
     def test_modal_estimate_tie_breaks_low(self):
         # vote arithmetic probed directly on two seeds engineered to give
@@ -230,3 +234,5 @@ class TestVoteBank:
         for ch in range(3):
             expected = np.mean([s.results[ch].transition_rate_hz for s in singles])
             assert voted.results[ch].transition_rate_hz == pytest.approx(expected)
+        # an iterator of seeds is counted once listed, and votes the same
+        assert vote_bank(bank, SIGNAL, 20000.0, 0.2, seed_bases=iter([2, 3])) == voted

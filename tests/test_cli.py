@@ -109,6 +109,28 @@ class TestExitCodes:
         assert peak < 16 * 2**20
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["snr-sweep", "--repeats", str(10**12)],
+        ["freq-table", "--repeats", str(10**12)],
+        ["t0-curve", "--runs", str(10**12)],
+        ["bank", "--votes", str(10**12)],
+    ])
+    def test_oversized_run_count_refused_before_allocating(self, argv, tmp_path, capsys):
+        # 10**12 runs would build a cell list of terabytes; the cell ceiling
+        # refuses the count before any list is built
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--out-dir", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 16 * 2**20
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "ceiling" in err and "Traceback" not in err
+
     def test_oversized_sweep_is_config_error(self, tmp_path):
         rc = main(["hysteresis", "--points", str(10**12), "--out-dir", str(tmp_path)])
         assert rc == 2

@@ -38,7 +38,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 import srlab.trigger  # noqa: E402
 from srlab.amp_detect import (  # noqa: E402
     T0Stats,
-    ThresholdGap,
     envelope_gap,
     expected_t0_theory,
     last_transition_time,
@@ -221,9 +220,11 @@ class TestTransitionStatistics:
 
 
 def gather_noise(spec, sample_rate, duration, stream):
-    """Zero-order hold by gathering draw k = floor(i / ratio) for sample i."""
+    """Zero-order hold by gathering draw k = floor(i / ratio) for sample i;
+    a noise_rate of None is the sample rate."""
     n = n_samples_for(sample_rate, duration)
-    ratio = sample_rate / spec.noise_rate
+    rate = sample_rate if spec.noise_rate is None else spec.noise_rate
+    ratio = sample_rate / rate
     m = round(ratio)
     if m >= 1 and abs(ratio - m) < 1e-9:
         idx = np.arange(n) // m
@@ -239,10 +240,11 @@ class TestNoiseHold:
 
     @PROPERTY
     @given(st.integers(1, 400),
-           st.sampled_from([1.0, 2.0, 3.0, 7.0, 2.5, 1.0 / 0.7, 0.8]),
+           st.sampled_from([None, 1.0, 2.0, 3.0, 7.0, 2.5, 1.0 / 0.7, 0.8]),
            st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
            st.integers(0, 2**32), st.integers(0, 1000))
     @example(300, 1.0, 0.4, 1, 2)     # m = 1: the draws are the samples
+    @example(300, None, 0.4, 1, 2)    # no noise rate: one draw per sample
     @example(301, 3.0, 0.4, 1, 2)     # m = 3, n % m != 0
     @example(300, 2.5, 0.4, 1, 2)     # non-integer ratio
     @example(301, 3.0000000000000004, 0.4, 1, 2)  # near-whole ratio snaps to m = 3
@@ -250,7 +252,7 @@ class TestNoiseHold:
     @example(301, 3.0, 8.0, 1, 2)     # sigma = 8: the clip at +-CLIP_V bites
     @example(5, 2.0**40, 0.4, 1, 2)   # hold ratio far above n: one draw
     def test_equals_gather(self, n, ratio, sigma, seed, stream):
-        spec = NoiseSpec(sigma, self.SAMPLE_RATE / ratio, seed=seed)
+        spec = NoiseSpec(sigma, None if ratio is None else self.SAMPLE_RATE / ratio, seed=seed)
         duration = n / self.SAMPLE_RATE
         got = generate_noise(spec, self.SAMPLE_RATE, duration, stream=stream).samples
         want = gather_noise(spec, self.SAMPLE_RATE, duration, stream)
@@ -708,7 +710,7 @@ class TestOneCallPerDrive:
 def expression_t0_density(gap, sigma):
     from scipy.special import log_ndtr, ndtr
 
-    x = gap.values / sigma
+    x = gap.samples / sigma
     ln_hold = log_ndtr(x)
     steps = 0.5 * (ln_hold[1:] + ln_hold[:-1]) * gap.dt
     cum = np.concatenate(([0.0], np.cumsum(steps)))
@@ -730,7 +732,7 @@ def gaps(draw):
     n = draw(st.integers(2, 300))
     values = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
     dt = draw(st.one_of(st.sampled_from([1.0 / 20000.0, 1e-3, 1.0]), st.floats(1e-7, 10.0)))
-    return ThresholdGap(np.array(values), dt)
+    return Trace(dt, np.array(values))
 
 
 class TestInPlace:
@@ -760,14 +762,14 @@ class TestInPlace:
     @example(FIG13_GAP, 0.5 * 0.05)
     @example(FIG13_GAP, 0.5 * 0.5)
     def test_t0_density_and_theory(self, gap, sigma):
-        before = gap.values.tobytes()
+        before = gap.samples.tobytes()
         got = t0_density_grid(gap, sigma)
         assert got.tobytes() == expression_t0_density(gap, sigma).tobytes()
         theory = expected_t0_theory(gap, sigma)
         assert type(theory) is float
         assert np.float64(theory).tobytes() == np.float64(
             expression_t0_theory(gap, sigma)).tobytes()
-        assert gap.values.tobytes() == before
+        assert gap.samples.tobytes() == before
 
 
 def serial_simulate(cells, sample_rate, duration, reduce):
