@@ -182,10 +182,8 @@ def mean_t0_monte_carlo(
     Runs with no transition contribute the 0.0 sentinel to the statistics,
     so the curve starts at 0 for sub-threshold noise.
     """
+    check_cells(1, n_runs, "n_runs")
     signal = generate(damped, sample_rate, duration)
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    check_cells(n_runs, "n_runs")
     spec = NoiseSpec(sigma, noise_rate, seed_base)
     cells = [(signal, trigger_config, spec, stream_base + r) for r in range(n_runs)]
     return _t0_stats(float(sigma), _last_times(cells, sample_rate, duration), n_runs)
@@ -226,10 +224,8 @@ def t0_sigma_curve(
     on every stream, so a zero level runs once and stands for n_runs runs
     (and reports sigma 0.0 for a -0.0 grid entry)."""
     sigmas = increasing_grid(sigmas, "sigma grid").tolist()
+    check_cells(len(sigmas), n_runs, "n_runs")
     signal = generate(damped, sample_rate, duration)
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    check_cells(len(sigmas) * n_runs, "n_runs")
     runs = [1 if sigma == 0.0 else n_runs for sigma in sigmas]
     cells = [(signal, trigger_config, NoiseSpec(sigma, noise_rate, seed_base), i * n_runs + r)
              for i, (sigma, k) in enumerate(zip(sigmas, runs)) for r in range(k)]

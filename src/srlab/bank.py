@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections import Counter
-from collections.abc import Sized
+from itertools import islice
 
 import numpy as np
 
-from srlab.experiments import check_cells, increasing_grid
+from srlab.experiments import MAX_CELLS, check_cells, increasing_grid
 from srlab.freq_detect import _transition_peaks
 from srlab.noise import NoiseSpec
 from srlab.signals import SignalSpec, generate
@@ -180,19 +180,17 @@ def vote_bank(
     frequency estimate the most common detected value (ties to the lowest).
     The voted pattern is what the amplitude bracket should be read from.
     """
-    if not isinstance(seed_bases, Sized):  # an iterator is counted once listed
-        seed_bases = list(seed_bases)
-    check_cells(len(seed_bases) * len(bank.detectors), "seed_bases")
-    seed_bases = list(seed_bases)
-    if not seed_bases:
-        raise ValueError("need at least one seed base to vote over")
+    n = len(bank.detectors)
+    # one seed past the ceiling's worth is enough to refuse, whatever the
+    # iterable, so no more are read
+    seeds = list(islice(seed_bases, MAX_CELLS // n + 1))
+    check_cells(n, len(seeds), "seed_bases")
     signal = generate(signal_spec, sample_rate, duration)
     # One simulate call over every (seed, channel) cell, seed-major;
     # channel i uses stream i of each seed base.
     cells = [(signal, det.config, NoiseSpec(det.sigma, noise_rate, seed=s), i)
-             for s in seed_bases for i, det in enumerate(bank.detectors)]
+             for s in seeds for i, det in enumerate(bank.detectors)]
     outcomes = _transition_peaks(cells, sample_rate, duration)
-    n = len(bank.detectors)
     voted = []
     for i, det in enumerate(bank.detectors):
         rates, f_ests = zip(*outcomes[i::n])

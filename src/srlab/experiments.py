@@ -82,12 +82,15 @@ if hasattr(os, "register_at_fork"):  # not on Windows, where nothing forks
 MAX_CELLS = 2**20
 
 
-def check_cells(count: int, name: str) -> None:
-    """Refuse an experiment call of more than MAX_CELLS cells, naming the
-    parameter `name` that sets its count."""
-    if count > MAX_CELLS:
+def check_cells(levels: int, runs: int, name: str) -> None:
+    """Size an experiment call of `runs` runs at each of `levels` levels:
+    refuse fewer than one run, or more than MAX_CELLS cells, naming the
+    parameter `name` that sets the run count."""
+    if runs < 1:
+        raise ValueError(f"{name} must be >= 1, got {runs}")
+    if levels * runs > MAX_CELLS:
         raise ValueError(
-            f"{name} asks for {count} cells, above the ceiling of {MAX_CELLS} "
+            f"{name} asks for more cells than the ceiling of {MAX_CELLS} "
             f"cells per experiment call"
         )
 
@@ -172,9 +175,7 @@ def snr_sigma_sweep(
     sweep stays a pure function of (inputs, seed).
     """
     sigmas = increasing_grid(sigmas, "sigma grid")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    check_cells(sigmas.size * repeats, "repeats")
+    check_cells(sigmas.size, repeats, "repeats")
     f_signal = signal_spec.frequency
     signal = generate(signal_spec, sample_rate, duration)
     specs = [replace(noise_template, sigma=float(sigma)) for sigma in sigmas]

@@ -157,9 +157,7 @@ def error_rate_table(
         if f in seen:  # summarize_error_table would merge its rows into one summary
             raise ValueError(f"frequency {f} Hz is listed more than once")
         seen.add(f)
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    check_cells(len(frequencies) * repeats, "repeats")
+    check_cells(len(frequencies), repeats, "repeats")
     p = base_params
     damped = [DampedSine(p.amplitude, p.decay, f) for f in frequencies]
     drives = [generate(d, p.sample_rate, p.duration) for d in damped]

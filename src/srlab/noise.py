@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.signals import Trace, n_samples_for
+from srlab.signals import MAX_SAMPLES, Trace, n_samples_for
 
 CLIP_V = 5.0  # hard amplitude limit applied to every draw, volts
 
@@ -81,9 +81,14 @@ def _draw_noise(spec: NoiseSpec, sample_rate: float, duration: float, stream: in
     m = round(ratio)
     if m >= 1 and abs(ratio - m) < 1e-9:
         ratio = m  # snap a near-whole ratio: draws then repeat exactly m times
+    # the draws that cover the grid, idx[-1] + 1 below, counted before idx is
+    # built; min keeps a quotient that overflowed to inf out of int()
+    n_draws = n if ratio == 1 else int(min((n - 1) / ratio, MAX_SAMPLES)) + 1
+    if n_draws > MAX_SAMPLES:
+        raise ValueError(f"noise_rate {spec.noise_rate} Hz for {duration} s exceeds "
+                         f"the ceiling of {MAX_SAMPLES} draws per run")
     # at ratio 1 the draws are the samples
     idx = None if ratio == 1 else (np.arange(n) / ratio).astype(np.int64)
-    n_draws = n if idx is None else int(idx[-1]) + 1
     rng = noise_stream(spec.seed, stream)
     # normal(0, sigma), not sigma * standard_normal(): at sigma = 0 the
     # product turns negative draws into -0.0, where normal gives +0.0; the

@@ -1,3 +1,7 @@
+import itertools
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from srlab.bank import (
     threshold_sweep_bank,
     vote_bank,
 )
+from srlab.experiments import MAX_CELLS
 from srlab.freq_detect import transition_spectrum
 from srlab.noise import NoiseSpec, generate_noise
 from srlab.signals import Sine, generate
@@ -203,6 +208,26 @@ class TestVoteBank:
             vote_bank(bank, SIGNAL, 20000.0, 0.2, seed_bases=iter([]))
         with pytest.raises(ValueError, match="seed_bases"):  # the cell ceiling
             vote_bank(bank, SIGNAL, 20000.0, 0.2, seed_bases=range(10**12))
+
+    @pytest.mark.parametrize("seeds", [
+        lambda: iter(range(10**6)),
+        lambda: range(10**20),  # too long for len()
+        itertools.count,  # endless
+    ], ids=["iterator", "huge_range", "endless"])
+    def test_oversized_seed_iterable_refused_after_the_ceiling(self, seeds):
+        # 10**6 seeds on 7 channels ask for 7 000 000 cells: vote_bank reads
+        # one seed past the ceiling's worth and refuses, holding no more
+        bank = threshold_sweep_bank(THRESHOLDS, 0.002, 250.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="seed_bases") as exc:
+                vote_bank(bank, SIGNAL, 20000.0, 0.2, seed_bases=seeds())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        # the only number it states is the ceiling, not a count nobody asked for
+        assert re.findall(r"\d+", str(exc.value)) == [str(MAX_CELLS)]
 
     def test_modal_estimate_tie_breaks_low(self):
         # vote arithmetic probed directly on two seeds engineered to give

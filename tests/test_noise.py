@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,22 @@ class TestZeroOrderHold:
     def test_sample_count(self):
         tr = generate_noise(NoiseSpec(1.0, 20000.0, seed=0), 20000.0, 0.4)
         assert tr.n_samples == 8000
+
+    @pytest.mark.parametrize("rate, sample_rate, duration", [
+        (1e12, 20000.0, 0.01), (1e20, 20000.0, 0.01), (1e300, 20000.0, 0.01),
+        (1.7e308, 1.0, 1e6),  # the draw count overflows to inf
+    ])
+    def test_draw_ceiling(self, rate, sample_rate, duration):
+        # 1e12 Hz for 0.01 s would draw 74 GiB to keep 200 samples; the count
+        # is refused before any draw or hold index is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="noise_rate"):
+                generate_noise(NoiseSpec(1.0, rate), sample_rate, duration)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDistribution:
