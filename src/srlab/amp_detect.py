@@ -286,9 +286,12 @@ def fit_sigmoid(
 
     p0 = [a0, c0, plateau_T] if float_plateau else [a0, c0]
 
-    res = least_squares(
-        residuals, p0, xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=200
-    )
+    # An overflow inside the fit raises FloatingPointError rather than
+    # warning and ending in a fit that did not converge.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        res = least_squares(
+            residuals, p0, xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=200
+        )
     if not res.success or not np.all(np.isfinite(res.x)):
         raise FitError(
             f"sigmoid fit did not converge: status={res.status} {res.message!r} "
@@ -359,8 +362,6 @@ def calibrate_and_estimate_decay(
 
     a_cal = np.asarray([fits[b].slope_a for b in bs])
     c_cal = np.asarray([fits[b].center_b for b in bs])
-    interp_a = PchipInterpolator(bs, a_cal)
-    interp_c = PchipInterpolator(bs, c_cal)
 
     def weight(se: float, scale: float) -> float:
         floor = max(1e-6 * scale, 1e-300)
@@ -370,9 +371,11 @@ def calibrate_and_estimate_decay(
     w_c = weight(observed.se_center_b, float(np.ptp(c_cal)) or abs(observed.center_b) or 1.0)
 
     grid = np.union1d(np.linspace(bs[0], bs[-1], 4001), bs)
-    cost = w_a * (interp_a(grid) - observed.slope_a) ** 2 + w_c * (
-        interp_c(grid) - observed.center_b
-    ) ** 2
+    # Labels far apart (1e300) overflow the interpolants: raise, as in the fits
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        a_grid = PchipInterpolator(bs, a_cal)(grid)
+        c_grid = PchipInterpolator(bs, c_cal)(grid)
+    cost = w_a * (a_grid - observed.slope_a) ** 2 + w_c * (c_grid - observed.center_b) ** 2
     best = float(grid[int(np.argmin(cost))])
 
     outside = not (

@@ -183,11 +183,12 @@ def snr_sigma_sweep(
              for i, spec in enumerate(specs) for r in range(repeats)]
     block = _SpectrumBlock(signal, len(cells))
     signal_bin(block.df, block.n_samples, f_signal)  # refused before any noise is drawn
-    snrs = np.reshape(
-        simulate(cells, sample_rate, duration,
-                 lambda outs: snr_db(block.spectrum(outs, SwitchList.write_samples), f_signal)),
-        (sigmas.size, repeats),
-    )
+
+    def reduce(outs):
+        return snr_db(block.spectrum(outs, lambda out, row: np.copyto(row, out.samples)),
+                      f_signal)
+
+    snrs = np.reshape(simulate(cells, sample_rate, duration, reduce), (sigmas.size, repeats))
     return SweepResult(
         sigmas=sigmas,
         snr_mean_db=snrs.mean(axis=1),

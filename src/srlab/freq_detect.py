@@ -22,7 +22,13 @@ import numpy as np
 from srlab.experiments import SweepResult, check_cells, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
 from srlab.signals import DampedSine, Trace, generate
-from srlab.spectral import Spectrum, _block_peaks, _check_dc_guard, _SpectrumBlock, periodogram
+from srlab.spectral import (
+    Spectrum,
+    _check_dc_guard,
+    _SpectrumBlock,
+    periodogram,
+    second_peak_frequency,
+)
 from srlab.trigger import SwitchList, TriggerConfig, transition_count
 
 
@@ -92,7 +98,8 @@ def _transition_peaks(cells, sample_rate, duration, dc_guard_hz=None) -> list:
     block = _SpectrumBlock(cells[0][0], len(cells))
 
     def reduce(outs):
-        f_ests = _block_peaks(block.spectrum(outs, SwitchList.write_transitions), dc_guard_hz)
+        f_ests = second_peak_frequency(
+            block.spectrum(outs, SwitchList.write_transitions), dc_guard_hz)
         return [(transition_count(out) / duration, f_est) for out, f_est in zip(outs, f_ests)]
 
     return simulate(cells, sample_rate, duration, reduce)

@@ -22,8 +22,8 @@ class Trace:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
 

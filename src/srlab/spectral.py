@@ -8,7 +8,7 @@ Experiments take their spectra a block of rows at a time: one rfft call
 over up to BLOCK_SAMPLES samples costs each row about half of what a call
 of its own does at n = 8 000 (the plan is made once per call), and each
 row of the block gives the same bytes as its own call.  A Spectrum is one
-row or such a block; snr_db reads either, second_peak_frequency one row.
+row or such a block, and snr_db and second_peak_frequency read either.
 The block path pays off while a block holds two rows or more, that is for
 n <= BLOCK_SAMPLES / 2; a longer row is a block of one.
 """
@@ -146,9 +146,9 @@ def snr_db(spectrum: Spectrum, f_signal: float):
     return float(snr) if mags.ndim == 1 else snr
 
 
-def second_peak_frequency(spectrum: Spectrum, dc_guard_hz: float | None = None) -> float | None:
-    """Frequency of the dominant non-DC spectral peak of one spectrum, or
-    None.
+def second_peak_frequency(spectrum: Spectrum, dc_guard_hz: float | None = None):
+    """Frequency of the dominant non-DC spectral peak, or None; one per row
+    of a block, as a list.
 
     The spectrum of a switched output always has its largest structure at
     and around 0 Hz, so candidate bins must lie above dc_guard_hz (default
@@ -157,15 +157,11 @@ def second_peak_frequency(spectrum: Spectrum, dc_guard_hz: float | None = None) 
     structure).  The winner is the largest candidate; it must clear the
     spectrum's median magnitude by MIN_PROMINENCE_DB.
     """
-    if spectrum.mag_db.ndim != 1:
-        raise ValueError("second_peak_frequency takes one spectrum, not a block")
-    return _peak_frequency(spectrum.mag_db, spectrum.df, _first_candidate(spectrum, dc_guard_hz))
-
-
-def _block_peaks(block: Spectrum, dc_guard_hz: float | None = None) -> list[float | None]:
-    # second_peak_frequency of every row of a block spectrum
-    lo = _first_candidate(block, dc_guard_hz)
-    return [_peak_frequency(row, block.df, lo) for row in block.mag_db]
+    lo = _first_candidate(spectrum, dc_guard_hz)
+    mags = spectrum.mag_db
+    if mags.ndim == 1:
+        return _peak_frequency(mags, spectrum.df, lo)
+    return [_peak_frequency(row, spectrum.df, lo) for row in mags]
 
 
 def _first_candidate(spectrum: Spectrum, dc_guard_hz: float | None) -> int:

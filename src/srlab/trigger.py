@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -137,23 +136,6 @@ def _switches(
     return start_high, switches
 
 
-def _rails(
-    v_sat_pos: float, v_sat_neg: float, first_high: bool, switches: np.ndarray, n: int
-) -> np.ndarray:
-    """Dense n-sample output: the rail values, alternating at each switch.
-
-    An xor-accumulated toggle mask costs the same at any switch count;
-    np.repeat over segment lengths pays per segment and is 5x slower on a
-    30 000-sample run with 6 000 switches.
-    """
-    toggled = np.zeros(n, dtype=bool)
-    toggled[switches] = True
-    np.logical_xor.accumulate(toggled, out=toggled)
-    if first_high:
-        return np.where(toggled, v_sat_neg, v_sat_pos)
-    return np.where(toggled, v_sat_pos, v_sat_neg)
-
-
 @dataclass(frozen=True)
 class SwitchList:
     """Comparator output on an n_samples grid of step dt, as the level after
@@ -161,10 +143,9 @@ class SwitchList:
     which the level changes.
 
     The reducers (transition counts, last-transition times) read the
-    switches directly; the spectral ones write a dense row into a reused
-    block buffer (write_samples, write_transitions).  `samples`, the dense
-    two-rail trace, is built on first access and cached, so a SwitchList
-    also serves where a Trace is read (periodograms, waveform CSVs).
+    switches directly.  `samples`, the dense two-rail trace (the rail
+    values, alternating at each switch), is built on each access;
+    write_transitions writes the transition train into a reused buffer.
     """
 
     dt: float
@@ -175,20 +156,16 @@ class SwitchList:
     v_sat_neg: float
 
     @property
-    def sample_rate(self) -> float:
-        return 1.0 / self.dt
-
-    @cached_property
     def samples(self) -> np.ndarray:
-        return _rails(self.v_sat_pos, self.v_sat_neg, self.first_high, self.switches,
-                      self.n_samples)
-
-    def write_samples(self, out: np.ndarray) -> np.ndarray:
-        """Write the dense two-rail trace into out (n_samples float64)
-        without caching it."""
-        out[...] = _rails(self.v_sat_pos, self.v_sat_neg, self.first_high, self.switches,
-                          self.n_samples)
-        return out
+        # An xor-accumulated toggle mask costs the same at any switch count;
+        # np.repeat over segment lengths pays per segment and is 5x slower on
+        # a 30 000-sample run with 6 000 switches.
+        toggled = np.zeros(self.n_samples, dtype=bool)
+        toggled[self.switches] = True
+        np.logical_xor.accumulate(toggled, out=toggled)
+        if self.first_high:
+            return np.where(toggled, self.v_sat_neg, self.v_sat_pos)
+        return np.where(toggled, self.v_sat_pos, self.v_sat_neg)
 
     def write_transitions(self, out: np.ndarray) -> np.ndarray:
         """Write the transition train into out (n_samples float64): the
@@ -267,24 +244,25 @@ def hysteresis_sweep(
         raise ValueError(f"need 2 to {MAX_SAMPLES} sweep points, got {points}")
     v_up = np.linspace(v_min, v_max, points)
     v_down = v_up[::-1].copy()
-    a = config.input_attenuation
-    rails = (config.v_sat_pos, config.v_sat_neg)
 
-    up_high, up_switches = _switches(a * v_up, config.v_ut, config.v_lt, start_high=True)
-    down_high, down_switches = _switches(
-        a * v_down, config.v_ut, config.v_lt, start_high=False
-    )
+    def branch(v, start_high):
+        # the branch's output as a switch list on a unit-step grid of its points
+        level, switches = _switches(config.input_attenuation * v, config.v_ut, config.v_lt,
+                                    start_high)
+        return SwitchList(1.0, points, level, switches, config.v_sat_pos, config.v_sat_neg)
+
+    up, down = branch(v_up, start_high=True), branch(v_down, start_high=False)
 
     # On a monotone branch the only switch there can be is the one away from
     # the starting level: a rise when descending, a fall when ascending.
-    def first_switch(v, switches):
-        return float(v[switches[0]]) if switches.size else None
+    def first_switch(v, output):
+        return float(v[output.switches[0]]) if output.switches.size else None
 
     return HysteresisLoop(
         ascending_input=v_up,
-        ascending_output=_rails(*rails, up_high, up_switches, points),
+        ascending_output=up.samples,
         descending_input=v_down,
-        descending_output=_rails(*rails, down_high, down_switches, points),
-        measured_up_threshold=first_switch(v_down, down_switches),
-        measured_down_threshold=first_switch(v_up, up_switches),
+        descending_output=down.samples,
+        measured_up_threshold=first_switch(v_down, down),
+        measured_down_threshold=first_switch(v_up, up),
     )

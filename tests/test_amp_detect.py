@@ -43,6 +43,8 @@ class TestThresholdGap:
             Trace(0.0, np.zeros(5))
         with pytest.raises(ValueError):
             t0_density_grid(Trace(1e-4, np.zeros(1)), 0.1)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            t0_density_grid(Trace(float("nan"), np.zeros(5)), 0.1)
         with pytest.raises(ValueError):
             Trace(1e-4, np.zeros((2, 2)))
 

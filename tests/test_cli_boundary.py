@@ -1,18 +1,23 @@
-"""Generated boundary cases for every subcommand that simulates.
+"""Generated boundary cases for every subcommand.
 
 Each case starts from a tiny valid argv and sets one parameter of the
 subcommand's table to an extreme value.  Whatever the value, the command
-either runs (exit 0) or refuses it at the boundary (exit 2): no traceback,
-no warning, no output directory left behind by a refusal, and no large
-allocation before the refusal.
+either runs (exit 0) or refuses it at the boundary (exit 2); the two
+fitting commands may also fail their fit (exit 3).  No traceback, no
+warning, no output directory left behind by a refusal or a failed fit, and
+no large allocation before the refusal.
 """
 
+import math
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
+from srlab.amp_detect import T0Stats
 from srlab.cli import COMMANDS, main
+from srlab.csvio import write_t0_curve_csv
 
 # one run of 0.01 s, one repeat or vote, per subcommand; optimal-sigma's
 # default 50 Hz is below half a bin of 0.01 s
@@ -26,6 +31,7 @@ BASE = {
     "t0-curve": ["--duration=0.01", "--runs=1"],
     "bank": ["--duration=0.01", "--votes=1"],
 }
+FITTING = ("fit-sigmoid", "estimate-decay")
 NUMBERS = [float("nan"), float("inf"), float("-inf"), -0.0, 0, -1,
            10**12, 10**20, 1e300, 1e-300]
 GRIDS = ["nan", "", "0.1,0.1", "0.2,0.1", "1:2:0", "0:1e12:1"]
@@ -39,8 +45,25 @@ READ_UNDER = {
 }
 
 
-def _cases():
-    for command, base in BASE.items():
+def _bases(folder) -> dict:
+    """BASE plus the two fitting commands, which read tiny t0 curves written
+    into folder: sigmoids centred at 0.1, 0.15 and 0.2 V for the calibration
+    decays 1, 5 and 9, and at 0.15 V for the observed curve."""
+    sigmas = np.linspace(0.0, 0.35, 8)
+    for name, center in (("cal1", 0.1), ("cal5", 0.15), ("cal9", 0.2), ("observed", 0.15)):
+        write_t0_curve_csv(folder / f"{name}.csv", [
+            T0Stats(float(s), 1.5 / (1.0 + math.exp(-40.0 * (s - center))), 0.1, 10, 0)
+            for s in sigmas])
+    return {
+        **BASE,
+        "fit-sigmoid": [f"--input={folder / 'observed.csv'}"],
+        "estimate-decay": [*(f"--calibration={b}={folder / f'cal{b}.csv'}" for b in (1, 5, 9)),
+                           f"--observed={folder / 'observed.csv'}"],
+    }
+
+
+def _cases(bases):
+    for command, base in bases.items():
         for name, (kind, _default, _help) in COMMANDS[command][0].items():
             if kind in ("float", "int", "maybe_float"):
                 values = NUMBERS
@@ -51,6 +74,10 @@ def _cases():
             flag = "--" + name.replace("_", "-")
             for value in values:
                 yield command, [*base, *READ_UNDER.get((command, name), []), f"{flag}={value}"]
+    # estimate-decay's third calibration decay label
+    cal1, cal5, cal9, observed = bases["estimate-decay"]
+    for value in NUMBERS:
+        yield "estimate-decay", [cal1, cal5, cal9.replace("=9=", f"={value}=", 1), observed]
 
 
 def _problems(argv, out, capsys) -> list[str]:
@@ -71,28 +98,32 @@ def _problems(argv, out, capsys) -> list[str]:
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    if rc not in (0, 2, None):
+    failed = (2, 3) if argv[0] in FITTING else (2,)
+    if rc not in (0, *failed, None):
         problems.append(f"exit {rc}: {err.strip()[-200:]}")
     if "Traceback" in err:
         problems.append("traceback")
     problems += dict.fromkeys(f"{w.category.__name__}: {w.message}" for w in caught)
-    if rc == 2 and out.exists():
-        problems.append("output directory left after exit 2")
+    if rc in failed and out.exists():
+        problems.append(f"output directory left after exit {rc}")
     if peak >= PEAK_LIMIT:
         problems.append(f"tracemalloc peak {peak / 2**20:.1f} MiB")
     return problems
 
 
-def test_every_simulating_subcommand_refuses_or_runs_extreme_values(tmp_path, capsys):
+def test_every_subcommand_refuses_or_runs_extreme_values(tmp_path, capsys):
+    bases = _bases(tmp_path)
+    for command, base in bases.items():  # imports (scipy's too) stay out of the peaks
+        assert main([command, *base, f"--out-dir={tmp_path / 'warm-up'}"]) == 0
     failures = []
-    for i, (command, argv) in enumerate(_cases()):
+    for i, (command, argv) in enumerate(_cases(bases)):
         problems = _problems([command, *argv], tmp_path / f"case{i}", capsys)
         if problems:
             failures.append(f"{command} {' '.join(argv)}: {'; '.join(problems)}")
     assert not failures, f"{len(failures)} failing cases:\n" + "\n".join(failures)
 
 
-@pytest.mark.parametrize("command", sorted(BASE))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_base_argv_runs(command, tmp_path, capsys):
-    assert main([command, *BASE[command], f"--out-dir={tmp_path}"]) == 0
+    assert main([command, *_bases(tmp_path)[command], f"--out-dir={tmp_path}"]) == 0
     assert "Traceback" not in capsys.readouterr().err

@@ -19,7 +19,7 @@ from srlab.experiments import (
 )
 from srlab.freq_detect import DetectionSetup, detect_frequency, error_rate_table
 from srlab.noise import NoiseSpec, generate_noise
-from srlab.signals import DampedSine, Sine, generate
+from srlab.signals import DampedSine, Sine, Trace, generate
 from srlab.spectral import BLOCK_SAMPLES, periodogram, snr_db
 from srlab.trigger import ideal_config, run, transition_count
 
@@ -103,12 +103,11 @@ class TestSweep:
         )
         signal = generate(SIGNAL, 20000.0, 0.1)
         for i, sigma in enumerate(sigmas):
-            snrs = [
-                snr_db(periodogram(run(CFG, signal, generate_noise(
-                    NoiseSpec(sigma, 20000.0, seed=7), 20000.0, 0.1, stream=i * repeats + r
-                ))), 500.0)
-                for r in range(repeats)
-            ]
+            snrs = []
+            for r in range(repeats):
+                out = run(CFG, signal, generate_noise(
+                    NoiseSpec(sigma, 20000.0, seed=7), 20000.0, 0.1, stream=i * repeats + r))
+                snrs.append(snr_db(periodogram(Trace(out.dt, out.samples)), 500.0))
             assert sw.snr_mean_db[i] == np.mean(snrs)
             assert sw.snr_std_db[i] == np.std(snrs)
 

@@ -70,7 +70,6 @@ from srlab.spectral import (  # noqa: E402
     MAG_FLOOR,
     MIN_PROMINENCE_DB,
     Spectrum,
-    _block_peaks,
     _SpectrumBlock,
     block_rows,
     periodogram,
@@ -415,11 +414,11 @@ def rowwise_peak(output, dc_guard_hz=None):
     """The per-cell detector: peak of the transition train's own spectrum."""
     n = output.n_samples
     return second_peak_frequency(
-        Spectrum(output.sample_rate / n, rowwise_mag_db(rowwise_transitions(output)), n),
+        Spectrum(1.0 / output.dt / n, rowwise_mag_db(rowwise_transitions(output)), n),
         dc_guard_hz)
 
 
-_DENSE = {"rails": (SwitchList.write_samples, lambda out: out.samples),
+_DENSE = {"rails": (lambda out, row: np.copyto(row, out.samples), lambda out: out.samples),
           "transitions": (SwitchList.write_transitions, rowwise_transitions)}
 
 
@@ -445,7 +444,7 @@ class TestBlockSpectra:
     def test_block_equals_rowwise(self, outs, kind, data):
         write, dense = _DENSE[kind]
         n, dt = outs[0].n_samples, outs[0].dt
-        df = outs[0].sample_rate / n
+        df = 1.0 / dt / n
         f = df * data.draw(st.integers(1, n // 2)) + data.draw(st.sampled_from([0.0, -0.3 * df]))
         guard = data.draw(st.one_of(st.none(), st.floats(0.0, df * n / 2)))
         block = _SpectrumBlock(Trace(dt, np.zeros(n)), len(outs))
@@ -453,7 +452,7 @@ class TestBlockSpectra:
         for part in (outs, outs[::-1][:max(1, len(outs) // 2)]):
             spectrum = block.spectrum(part, write)
             snrs = snr_db(spectrum, f)
-            peaks = _block_peaks(spectrum, guard)
+            peaks = second_peak_frequency(spectrum, guard)
             assert spectrum.mag_db.shape == (len(part), n // 2 + 1)
             for i, out in enumerate(part):
                 want = rowwise_mag_db(dense(out))
@@ -476,7 +475,7 @@ def rowwise_sweep(config, signal_spec, template, sigmas, sample_rate, duration, 
             out = run(config, signal, generate_noise(
                 replace(template, sigma=sigma), sample_rate, duration, stream=i * repeats + r))
             snrs[i, r] = rowwise_snr_db(rowwise_mag_db(out.samples),
-                                        out.sample_rate / out.n_samples, signal_spec.frequency)
+                                        1.0 / out.dt / out.n_samples, signal_spec.frequency)
     return SweepResult(sigmas, snrs.mean(axis=1), snrs.std(axis=1), repeats, template.seed)
 
 
@@ -581,7 +580,7 @@ def per_seed_vote(bank, signal_spec, sample_rate, duration, seed_bases, noise_ra
     rate = sample_rate if noise_rate is None else noise_rate
 
     def reduce(outs):
-        f_ests = _block_peaks(block.spectrum(outs, SwitchList.write_transitions))
+        f_ests = second_peak_frequency(block.spectrum(outs, SwitchList.write_transitions))
         return [(transition_count(out) / duration, f) for out, f in zip(outs, f_ests)]
 
     reports = []
@@ -613,7 +612,7 @@ def per_frequency_table(config, frequencies, p, repeats):
         signal = generate(DampedSine(p.amplitude, p.decay, f), p.sample_rate, p.duration)
         block = block or _SpectrumBlock(signal, repeats)
         f_ests = simulate([(signal, config, spec, i) for spec in specs], p.sample_rate,
-                          p.duration, lambda outs: _block_peaks(
+                          p.duration, lambda outs: second_peak_frequency(
                               block.spectrum(outs, SwitchList.write_transitions), p.dc_guard_hz))
         for spec, f_est in zip(specs, f_ests):
             error = None if f_est is None else 100.0 * abs(f_est - f) / f

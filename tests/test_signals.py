@@ -20,8 +20,9 @@ class TestTrace:
         np.testing.assert_allclose(t.times(), [0.0, 0.001, 0.002])
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            Trace(dt=0.0, samples=[1.0])
+        for dt in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="dt must be finite and > 0"):
+                Trace(dt=dt, samples=[1.0])
 
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):

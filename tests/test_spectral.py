@@ -131,11 +131,13 @@ class TestSecondPeak:
     def test_flat_spectrum_has_no_peak(self):
         assert second_peak_frequency(_flat_spectrum(-80.0)) is None
 
-    def test_one_spectrum_not_a_block(self):
-        mags = self._with_tone(25, -30.0).mag_db
-        block = Spectrum(df=1.0, mag_db=np.stack([mags, mags]), n_samples=200)
-        with pytest.raises(ValueError, match="not a block"):
-            second_peak_frequency(block)
+    def test_block_reads_each_row(self):
+        tone = self._with_tone(25, -30.0)
+        flat = _flat_spectrum(-80.0)
+        block = Spectrum(df=1.0, mag_db=np.stack([tone.mag_db, flat.mag_db]), n_samples=200)
+        assert second_peak_frequency(block) == [25.0, None]
+        assert second_peak_frequency(block) == [second_peak_frequency(tone),
+                                                second_peak_frequency(flat)]
 
     def test_square_wave_fundamental(self):
         # switched output driven by a super-threshold tone: the dominant
@@ -144,5 +146,5 @@ class TestSecondPeak:
         sig = generate(Sine(0.2, 500.0), 20000.0, 0.4)
         silence = Trace(sig.dt, np.zeros(sig.n_samples))
         out = run(cfg, sig, silence)
-        spec = periodogram(out)
+        spec = periodogram(Trace(out.dt, out.samples))
         assert second_peak_frequency(spec) == pytest.approx(500.0, abs=spec.df)
