@@ -305,12 +305,19 @@ def fit_sigmoid(
         r2 = 1.0 - ss_res / ss_tot
     else:
         r2 = 1.0 if ss_res < 1e-30 else 0.0
+    center = float(res.x[1])
+    # written so that a NaN r2 or centre fails it too
+    if not (r2 >= 0.0 and x[0] <= center <= x[-1]):
+        raise FitError(
+            f"sigmoid fit explains nothing: r2 {r2:.4g} (needs >= 0), center {center:.4g} V "
+            f"(needs the curve's sigma range [{x[0]:g}, {x[-1]:g}] V)"
+        )
     cov = np.linalg.pinv(res.jac.T @ res.jac) * (ss_res / dof)
     ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
     try:
         return SigmoidFit(
             slope_a=float(res.x[0]),
-            center_b=float(res.x[1]),
+            center_b=center,
             plateau_T=float(res.x[2]) if float_plateau else float(plateau_T),
             r_squared=r2,
             se_slope_a=float(ses[0]),
@@ -354,8 +361,8 @@ def calibrate_and_estimate_decay(
         raise ValueError(
             f"need >= 3 calibration decay values, got {len(curves_by_b)}"
         )
-    if not all(math.isfinite(b) for b in curves_by_b):
-        raise ValueError(f"calibration decays must be finite, got {list(curves_by_b)}")
+    if not all(0.0 <= b < math.inf for b in curves_by_b):
+        raise ValueError(f"calibration decays must be finite and >= 0, got {list(curves_by_b)}")
     bs = np.asarray(sorted(float(b) for b in curves_by_b), dtype=np.float64)
     fits = {float(b): fit_sigmoid(c, plateau_T=plateau_T) for b, c in curves_by_b.items()}
     observed = fit_sigmoid(observed_curve, plateau_T=plateau_T)

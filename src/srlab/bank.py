@@ -67,8 +67,8 @@ class BankConfig:
 def resonance_rate_for(frequency: float) -> float:
     """Transition-rate criterion matched to a drive frequency: at resonance
     the output crosses about once per half period, i.e. rate ~ frequency."""
-    if frequency <= 0.0:
-        raise ValueError(f"frequency must be > 0, got {frequency}")
+    if not 0.0 < frequency < math.inf:
+        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
     return frequency
 
 

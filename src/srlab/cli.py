@@ -260,6 +260,9 @@ def run_fig13(p: dict, out: Path, prefix: str) -> str:
 
 
 def run_fit_sigmoid(p: dict, out: Path, prefix: str) -> str:
+    # the label is a decay, so it follows DampedSine's rule for one
+    if p["decay"] is not None and not 0.0 <= p["decay"] < math.inf:
+        raise ValueError(f"decay must be finite and >= 0, got {p['decay']}")
     curve = read_t0_curve_csv(p["input"])
     fit = fit_sigmoid(curve, plateau_T=p["plateau"], float_plateau=p["float_plateau"])
     write_fits_csv(out / f"{prefix}.csv", [(p["decay"], fit)])

@@ -123,11 +123,7 @@ def generate(spec: SignalSpec, sample_rate: float, duration: float) -> Trace:
     if isinstance(spec, Sine):
         samples = spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t)
     else:
-        samples = (
-            spec.amplitude
-            * np.exp(-spec.decay * t)
-            * np.sin(2.0 * math.pi * spec.frequency * t)
-        )
+        samples = envelope(spec, t) * np.sin(2.0 * math.pi * spec.frequency * t)
     return Trace(dt=dt, samples=samples)
 
 

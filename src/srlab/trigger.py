@@ -180,6 +180,13 @@ class SwitchList:
         return out
 
 
+def _respond(config: TriggerConfig, v_n: np.ndarray, dt: float, start_high: bool) -> SwitchList:
+    """The comparator's output for a combined-input array on a grid of step dt."""
+    first_high, switches = _switches(v_n, config.v_ut, config.v_lt, start_high)
+    return SwitchList(dt, v_n.size, first_high, switches,
+                      config.v_sat_pos, config.v_sat_neg)
+
+
 def run(
     config: TriggerConfig,
     signal: Trace,
@@ -196,11 +203,7 @@ def run(
         )
     v_n = signal.samples + noise.samples
     v_n *= config.input_attenuation  # in place: a fresh n-sample array costs page faults
-    first_high, switches = _switches(
-        v_n, config.v_ut, config.v_lt, initial is TriggerState.HIGH
-    )
-    return SwitchList(signal.dt, v_n.size, first_high, switches,
-                      config.v_sat_pos, config.v_sat_neg)
+    return _respond(config, v_n, signal.dt, initial is TriggerState.HIGH)
 
 
 def transition_count(output: SwitchList) -> int:
@@ -244,14 +247,9 @@ def hysteresis_sweep(
         raise ValueError(f"need 2 to {MAX_SAMPLES} sweep points, got {points}")
     v_up = np.linspace(v_min, v_max, points)
     v_down = v_up[::-1].copy()
-
-    def branch(v, start_high):
-        # the branch's output as a switch list on a unit-step grid of its points
-        level, switches = _switches(config.input_attenuation * v, config.v_ut, config.v_lt,
-                                    start_high)
-        return SwitchList(1.0, points, level, switches, config.v_sat_pos, config.v_sat_neg)
-
-    up, down = branch(v_up, start_high=True), branch(v_down, start_high=False)
+    # each branch's output on a unit-step grid of its points
+    up = _respond(config, config.input_attenuation * v_up, 1.0, start_high=True)
+    down = _respond(config, config.input_attenuation * v_down, 1.0, start_high=False)
 
     # On a monotone branch the only switch there can be is the one away from
     # the starting level: a rise when descending, a fall when ascending.

@@ -314,6 +314,16 @@ class TestSigmoidFit:
         with pytest.raises(FitError):
             fit_sigmoid(flat, float_plateau=True)
 
+    @pytest.mark.parametrize("plateau, why", [
+        (1e-300, "r2 -"),  # returns its initial guess, worse than the mean
+        (1e20, "center 1"),  # a centre far beyond the curve's 0-0.5 V
+    ], ids=["tiny_plateau", "huge_plateau"])
+    def test_fit_that_explains_nothing_raises_fit_error(self, plateau, why):
+        curve = _stats_from_xy(self.X, _sigmoid(self.X, 20.0, 0.2))
+        with pytest.raises(FitError, match="explains nothing") as exc:
+            fit_sigmoid(curve, plateau_T=plateau)
+        assert why in str(exc.value)
+
     def test_fit_object_validation(self):
         with pytest.raises(ValueError):
             SigmoidFit(20.0, 0.2, -1.0, 1.0, 0.0, 0.0)

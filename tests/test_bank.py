@@ -63,8 +63,10 @@ class TestConfigs:
 
     def test_resonance_rate(self):
         assert resonance_rate_for(500.0) == 500.0
-        with pytest.raises(ValueError):
-            resonance_rate_for(0.0)
+        # nan and inf would pass through as the rate criterion itself
+        for frequency in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="frequency must be finite and > 0"):
+                resonance_rate_for(frequency)
 
     def test_threshold_sweep_preset(self):
         bank = threshold_sweep_bank([0.001, 0.002, 0.004], 0.002, 250.0)

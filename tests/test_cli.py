@@ -153,9 +153,11 @@ class TestExitCodes:
         curve = str(_zero_curve_csv(tmp_path / "c.csv"))
         cal = [a for b in (1, 3) for a in ("--calibration", f"{b}={curve}")]
         # a NaN label never equals itself as a dict key: it must be refused
-        # before the fits are looked up by label
+        # before the fits are looked up by label; a label is a decay, so a
+        # negative one is refused too
         for entries in (["--calibration", "no-equals-sign"],
-                        [*cal, "--calibration", f"nan={curve}"]):
+                        [*cal, "--calibration", f"nan={curve}"],
+                        [*cal, f"--calibration=-1={curve}"]):
             rc = main(["estimate-decay", *entries, "--observed", curve,
                        "--out-dir", str(tmp_path)])
             assert rc == 2
@@ -195,6 +197,39 @@ class TestExitCodes:
             rc = main(["fit-sigmoid", "--input", str(path), *flags, "--out-dir", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plateau", ["1e-300", "1e20"])
+    def test_fit_that_explains_nothing_is_numeric_error(self, tmp_path, capsys, plateau):
+        # 1e-300 leaves the initial guess with r2 < 0; 1e20 puts the centre
+        # tens of volts beyond the curve's 0-0.5 V
+        curve = _sigmoid_curve_csv(tmp_path / "c.csv", 5.0)
+        out = tmp_path / "out"
+        rc = main(["fit-sigmoid", "--input", curve, f"--plateau={plateau}",
+                   "--out-dir", str(out)])
+        assert rc == 3
+        assert "explains nothing" in capsys.readouterr().err
+        assert not out.exists()
+
+    # decay labels follow DampedSine's rule for a decay: finite and >= 0
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "-1"])
+    def test_bad_fit_decay_label_is_config_error(self, tmp_path, capsys, label):
+        out = tmp_path / "out"
+        rc = main(["fit-sigmoid", "--input", _sigmoid_curve_csv(tmp_path / "c.csv", 5.0),
+                   f"--decay={label}", "--out-dir", str(out)])
+        assert rc == 2
+        assert "decay must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frequency", ["nan", "inf"])
+    def test_non_finite_bank_frequency_is_named(self, tmp_path, capsys, frequency):
+        # with the default --min-rate the rate criterion is the frequency, so
+        # the refusal must name the frequency, not min_transition_rate_hz
+        out = tmp_path / "out"
+        rc = main(["bank", f"--frequency={frequency}", "--votes=1", "--duration=0.05",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert f"frequency must be finite and > 0, got {frequency}" in capsys.readouterr().err
         assert not out.exists()
 
     # a saved curve edited by hand: a non-finite or negative field

@@ -1,11 +1,12 @@
 """Generated boundary cases for every subcommand.
 
 Each case starts from a tiny valid argv and sets one parameter of the
-subcommand's table to an extreme value.  Whatever the value, the command
-either runs (exit 0) or refuses it at the boundary (exit 2); the two
-fitting commands may also fail their fit (exit 3).  No traceback, no
-warning, no output directory left behind by a refusal or a failed fit, and
-no large allocation before the refusal.
+subcommand's table to an extreme value.  A NaN or infinite value is
+refused at the boundary (exit 2).  A finite one either runs (exit 0) or is
+refused (exit 2); with a finite value the two fitting commands may also
+fail their fit (exit 3).  No traceback, no warning, no output directory
+left behind by a refusal or a failed fit, and no large allocation before
+the refusal.
 """
 
 import math
@@ -62,7 +63,12 @@ def _bases(folder) -> dict:
     }
 
 
+def _non_finite(value) -> bool:
+    return value == "nan" if isinstance(value, str) else not math.isfinite(value)
+
+
 def _cases(bases):
+    """(command, argv, whether the extreme value is NaN or infinite)"""
     for command, base in bases.items():
         for name, (kind, _default, _help) in COMMANDS[command][0].items():
             if kind in ("float", "int", "maybe_float"):
@@ -73,14 +79,16 @@ def _cases(bases):
                 continue
             flag = "--" + name.replace("_", "-")
             for value in values:
-                yield command, [*base, *READ_UNDER.get((command, name), []), f"{flag}={value}"]
+                argv = [*base, *READ_UNDER.get((command, name), []), f"{flag}={value}"]
+                yield command, argv, _non_finite(value)
     # estimate-decay's third calibration decay label
     cal1, cal5, cal9, observed = bases["estimate-decay"]
     for value in NUMBERS:
-        yield "estimate-decay", [cal1, cal5, cal9.replace("=9=", f"={value}=", 1), observed]
+        yield ("estimate-decay", [cal1, cal5, cal9.replace("=9=", f"={value}=", 1), observed],
+               _non_finite(value))
 
 
-def _problems(argv, out, capsys) -> list[str]:
+def _problems(argv, non_finite, out, capsys) -> list[str]:
     """What one case did wrong, if anything."""
     problems = []
     tracemalloc.start()
@@ -98,8 +106,12 @@ def _problems(argv, out, capsys) -> list[str]:
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    failed = (2, 3) if argv[0] in FITTING else (2,)
-    if rc not in (0, *failed, None):
+    if non_finite:
+        failed = allowed = (2,)
+    else:
+        failed = (2, 3) if argv[0] in FITTING else (2,)
+        allowed = (0, *failed)
+    if rc not in (*allowed, None):
         problems.append(f"exit {rc}: {err.strip()[-200:]}")
     if "Traceback" in err:
         problems.append("traceback")
@@ -116,8 +128,8 @@ def test_every_subcommand_refuses_or_runs_extreme_values(tmp_path, capsys):
     for command, base in bases.items():  # imports (scipy's too) stay out of the peaks
         assert main([command, *base, f"--out-dir={tmp_path / 'warm-up'}"]) == 0
     failures = []
-    for i, (command, argv) in enumerate(_cases(bases)):
-        problems = _problems([command, *argv], tmp_path / f"case{i}", capsys)
+    for i, (command, argv, non_finite) in enumerate(_cases(bases)):
+        problems = _problems([command, *argv], non_finite, tmp_path / f"case{i}", capsys)
         if problems:
             failures.append(f"{command} {' '.join(argv)}: {'; '.join(problems)}")
     assert not failures, f"{len(failures)} failing cases:\n" + "\n".join(failures)

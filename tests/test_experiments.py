@@ -358,6 +358,18 @@ class TestCapture:
             combined.samples, CFG.input_attenuation * (sig.samples + noise), atol=1e-15
         )
 
+    def test_outputs_come_from_the_drawn_noise(self):
+        # draws the noise independently, so a capture whose combined trace or
+        # output came from other noise than the seeded draw fails here
+        spec, a = NoiseSpec(0.1, 20000.0, seed=2), CFG.input_attenuation
+        sig, combined, out = capture_transitions(CFG, SIGNAL, spec, 20000.0, 0.05)
+        noise = generate_noise(spec, 20000.0, 0.05)
+        assert combined.samples.tobytes() == (a * (sig.samples + noise.samples)).tobytes()
+        want = run(CFG, sig, noise)
+        assert want.switches.size > 0
+        assert (out.first_high, out.switches.tobytes()) == (
+            want.first_high, want.switches.tobytes())
+
     def test_silent_sub_threshold_run_never_switches(self):
         _, _, out = capture_transitions(
             CFG, SIGNAL, NoiseSpec(0.0, 20000.0, seed=0), 20000.0, 0.1
