@@ -177,34 +177,15 @@ def mean_t0_monte_carlo(
     stream_base: int = 0,
 ) -> T0Stats:
     """Mean/std of the last transition time over n_runs independent noisy
-    simulations (run r uses noise stream stream_base + r).
+    simulations (run r uses noise stream stream_base + r): the one-level
+    case of t0_sigma_curve, so zero noise runs once there too.
 
     Runs with no transition contribute the 0.0 sentinel to the statistics,
     so the curve starts at 0 for sub-threshold noise.
     """
-    check_cells(1, n_runs, "n_runs")
-    signal = generate(damped, sample_rate, duration)
-    spec = NoiseSpec(sigma, noise_rate, seed_base)
-    cells = [(signal, trigger_config, spec, stream_base + r) for r in range(n_runs)]
-    return _t0_stats(float(sigma), _last_times(cells, sample_rate, duration), n_runs)
-
-
-def _last_times(cells, sample_rate, duration) -> np.ndarray:
-    # last_transition_time of every cell, in one simulate call
-    return np.asarray(simulate(cells, sample_rate, duration,
-                               lambda outs: [last_transition_time(out) for out in outs]))
-
-
-def _t0_stats(sigma: float, t0s: np.ndarray, n_runs: int) -> T0Stats:
-    # The statistics of one level's last-transition times; a level that ran
-    # once (zero noise) has its one time stand for all n_runs runs.
-    return T0Stats(
-        sigma=sigma,
-        mean_t0=float(t0s.mean()),
-        std_t0=float(t0s.std()),
-        n_runs=n_runs,
-        n_no_transition=n_runs // t0s.size * int(np.count_nonzero(t0s == 0.0)),
-    )
+    (stats,) = _t0_curve(trigger_config, damped, [sigma], n_runs, seed_base,
+                         sample_rate, duration, noise_rate, stream_base)
+    return stats
 
 
 def t0_sigma_curve(
@@ -223,14 +204,28 @@ def t0_sigma_curve(
     whole curve is one simulate call on one drive.  Zero noise is the same
     on every stream, so a zero level runs once and stands for n_runs runs
     (and reports sigma 0.0 for a -0.0 grid entry)."""
+    return _t0_curve(trigger_config, damped, sigmas, n_runs, seed_base,
+                     sample_rate, duration, noise_rate, 0)
+
+
+def _t0_curve(trigger_config, damped, sigmas, n_runs, seed_base, sample_rate, duration,
+              noise_rate, stream_base) -> list[T0Stats]:
+    # The curve in one simulate call: level i uses streams
+    # stream_base + i*n_runs + r, and a zero level's one run stands for n_runs.
     sigmas = increasing_grid(sigmas, "sigma grid").tolist()
     check_cells(len(sigmas), n_runs, "n_runs")
     signal = generate(damped, sample_rate, duration)
     runs = [1 if sigma == 0.0 else n_runs for sigma in sigmas]
-    cells = [(signal, trigger_config, NoiseSpec(sigma, noise_rate, seed_base), i * n_runs + r)
+    cells = [(signal, trigger_config, NoiseSpec(sigma, noise_rate, seed_base),
+              stream_base + i * n_runs + r)
              for i, (sigma, k) in enumerate(zip(sigmas, runs)) for r in range(k)]
-    levels = np.split(_last_times(cells, sample_rate, duration), np.cumsum(runs)[:-1])
-    return [_t0_stats(sigma + 0.0, t0s, n_runs) for sigma, t0s in zip(sigmas, levels)]
+    t0s = simulate(cells, sample_rate, duration,
+                   lambda outs: [last_transition_time(out) for out in outs])
+    levels = np.split(np.asarray(t0s), np.cumsum(runs)[:-1])
+    return [T0Stats(sigma=sigma + 0.0, mean_t0=float(t.mean()), std_t0=float(t.std()),
+                    n_runs=n_runs,
+                    n_no_transition=n_runs // t.size * int(np.count_nonzero(t == 0.0)))
+            for sigma, t in zip(sigmas, levels)]
 
 
 @dataclass(frozen=True)

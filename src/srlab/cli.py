@@ -7,7 +7,9 @@ manifest (the fully resolved configuration as a flat INI file) into
 values, which win over built-in defaults.  `reproduce <preset>` bundles
 the canned parameter sets for the standard experiments.
 
-Exit codes: 0 success, 2 bad usage/configuration, 3 numeric failure.
+Exit codes: 0 success, 2 bad usage/configuration, 3 numeric failure.  A
+command that exits 2 or 3 writes nothing to --out-dir, and an --out-dir
+that is a file, or lies under one, exits 2.
 """
 
 from __future__ import annotations
@@ -239,24 +241,20 @@ def run_optimal_sigma(p: dict, out: Path, prefix: str) -> str:
     return f"best sigma {sigma_star} V"
 
 
-def run_t0_curve(p: dict, out: Path, prefix: str) -> str:
+def run_t0_curve(p: dict, out: Path, prefix: str, fit: bool = False) -> str:
     curve = t0_sigma_curve(
-        build_trigger(p),
-        DampedSine(p["amplitude"], p["decay"], p["frequency"]),
-        parse_grid(p["sigma_grid"]),
+        build_trigger(p), _signal(p), parse_grid(p["sigma_grid"]),
         n_runs=p["runs"], seed_base=p["seed"],
         sample_rate=p["sample_rate"], duration=p["duration"],
         noise_rate=p["noise_rate"],
     )
+    summary = f"{len(curve)} noise levels, final mean t0 {curve[-1].mean_t0:.4f} s"
+    if fit:  # fitted before anything is written, so a refused fit leaves no file
+        sigmoid = fit_sigmoid(curve, plateau_T=p["duration"])
+        write_fits_csv(out / f"{prefix}_fit.csv", [(p["decay"], sigmoid)])
+        summary += f"; sigmoid r2 {sigmoid.r_squared:.4f}"
     write_t0_curve_csv(out / f"{prefix}.csv", curve)
-    return f"{len(curve)} noise levels, final mean t0 {curve[-1].mean_t0:.4f} s"
-
-
-def run_fig13(p: dict, out: Path, prefix: str) -> str:
-    summary = run_t0_curve(p, out, prefix)
-    fit = fit_sigmoid(read_t0_curve_csv(out / f"{prefix}.csv"), plateau_T=p["duration"])
-    write_fits_csv(out / f"{prefix}_fit.csv", [(p["decay"], fit)])
-    return f"{summary}; sigmoid r2 {fit.r_squared:.4f}"
+    return summary
 
 
 def run_fit_sigmoid(p: dict, out: Path, prefix: str) -> str:
@@ -314,16 +312,17 @@ def run_bank_cmd(p: dict, out: Path, prefix: str) -> str:
         bank, _signal(p), p["sample_rate"], p["duration"],
         seed_bases=range(p["seed"], p["seed"] + p["votes"]), noise_rate=p["noise_rate"],
     )
-    write_bank_csv(out / f"{prefix}.csv", report)
     n_res = sum(report.resonance_flags())
-    if p["mode"] == "threshold":
+    if p["mode"] == "threshold":  # the bracket can refuse the pattern: before any write
         bracket = amplitude_bracket(report)
         where = "outside the sweep" if bracket is None else f"in [{bracket[0]}, {bracket[1]}] V"
-        return f"{n_res}/{len(report.results)} channels resonate; amplitude {where}"
-    consensus = most_common_estimate(r.f_est for r in report.results if r.resonating)
-    if consensus is not None:
-        return f"{n_res} channels resonate; consensus frequency {consensus} Hz"
-    return "no resonating channel produced a frequency estimate"
+        summary = f"{n_res}/{len(report.results)} channels resonate; amplitude {where}"
+    else:
+        consensus = most_common_estimate(r.f_est for r in report.results if r.resonating)
+        summary = ("no resonating channel produced a frequency estimate" if consensus is None
+                   else f"{n_res} channels resonate; consensus frequency {consensus} Hz")
+    write_bank_csv(out / f"{prefix}.csv", report)
+    return summary
 
 
 def run_threshold_law(p: dict, out: Path, prefix: str) -> str:
@@ -446,7 +445,7 @@ PRESETS = {
              run_threshold_law),
     "table1": COMMANDS["freq-table"],
     "fig12": COMMANDS["optimal-sigma"],
-    "fig13": (COMMANDS["t0-curve"][0], run_fig13),
+    "fig13": (COMMANDS["t0-curve"][0], functools.partial(run_t0_curve, fit=True)),
 }
 
 # (setting, value) -> parameters that value never reads.  Giving one of them
@@ -506,6 +505,10 @@ def _dispatch(args) -> str:
                 raise ValueError(f"{setting} {value} never reads {n}; the config file's "
                                  f"{n} = {config[n]} would be ignored")
     out = Path(args.out_dir)
+    # checked before anything runs, and nothing is created yet
+    nearest = next(d for d in (out, *out.parents) if d.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"--out-dir {out} is or lies under the file {nearest}")
     summary = runner(params, out, prefix)
     # a subcommand's key is "subcommand" itself, so its manifest has no preset
     manifest = {"subcommand": args.command, key: name, **params, "version": srlab.__version__}

@@ -211,6 +211,45 @@ class TestExitCodes:
         assert "explains nothing" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refused_fig13_fit_writes_nothing(self, tmp_path, capsys):
+        # fig13's parameters at 40 V: the threshold is out of the noise's
+        # reach, the curve is all zeros and its fit is refused before any write
+        a, out = tmp_path / "a", tmp_path / "out"
+        assert main(["t0-curve", "--vdc", "40.0", "--runs", "2", "--duration", "0.2",
+                     "--out-dir", str(a)]) == 0
+        rc = main(["reproduce", "fig13", "--config", str(a / "t0_curve_manifest.ini"),
+                   "--out-dir", str(out)])
+        assert rc == 3
+        assert "explains nothing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ambiguous_bank_bracket_writes_nothing(self, tmp_path, capsys):
+        # one vote at this sigma resonates on a non-monotone pattern
+        out = tmp_path / "out"
+        rc = main(["bank", "--mode", "threshold", "--amplitude", "0.01", "--sigma", "0.004",
+                   "--thresholds", "0.004,0.006,0.008,0.01,0.012,0.014,0.016", "--votes", "1",
+                   "--duration", "0.05", "--seed", "0", "--out-dir", str(out)])
+        assert rc == 2
+        assert "not monotone" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,below", [
+        (["reproduce", "fig8"], ""),
+        (["reproduce", "fig4"], "sub"),
+    ])
+    def test_out_dir_on_a_file_is_config_error(self, tmp_path, monkeypatch, capsys, argv,
+                                               below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        monkeypatch.setattr("srlab.cli.capture_transitions",
+                            lambda *a: pytest.fail("simulated before the check"))
+        rc = main([*argv, "--out-dir", str(afile / below)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "Traceback" not in err
+        assert afile.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
     # decay labels follow DampedSine's rule for a decay: finite and >= 0
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "-1"])
     def test_bad_fit_decay_label_is_config_error(self, tmp_path, capsys, label):
