@@ -382,6 +382,8 @@ COMMANDS = {
         "dc_guard": ("maybe_float", None, "ignore spectrum below this, Hz"),
         "duration": ("float", 0.4, "acquisition time, s"),
         **_SIM,
+        # kept in _SIM's place, so table1 manifests keep their bytes
+        "noise_rate": ("maybe_float", None, "refused: freq-table draws noise at the sample rate"),
     }, run_freq_table),
     "optimal-sigma": ({
         **_TRIG,

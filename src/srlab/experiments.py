@@ -12,11 +12,11 @@ sweep here, frequency detection, last-transition curves and detector banks).
 
 from __future__ import annotations
 
-import functools
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -57,23 +57,17 @@ class SweepResult:
         return int(self.sigmas.size)
 
 
-# Noise is drawn on a small thread pool, made on first use: numpy releases
-# the GIL inside the Philox normal draw, and each (seed, stream) is
-# independent of the others.  The calling thread keeps the comparator and the
-# reducers, about a quarter of a t0 curve, so workers beyond four have
-# little left to overlap with.  A forked child drops the parent's pool,
-# whose threads do not exist in it, and makes its own.
-@functools.cache
-def _draw_pool():
+# Noise is drawn on a small thread pool that each simulate call makes and
+# closes: numpy releases the GIL inside the Philox normal draw, and each
+# (seed, stream) is independent of the others.  The calling thread keeps the
+# comparator and the reducers, about a quarter of a t0 curve, so workers
+# beyond four have little left to overlap with.
+def _draw_workers() -> int:
+    """Workers of simulate's draw pool: min(CPUs this process may use, 4)."""
     # the CPUs this process may run on, where the OS says
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = min(cpus, 4)
-    return ThreadPoolExecutor(workers, thread_name_prefix="srlab-noise"), workers
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows, where nothing forks
-    os.register_at_fork(after_in_child=_draw_pool.cache_clear)
+    return min(cpus, 4)
 
 
 # Most cells one experiment call may simulate.  Every experiment builds its
@@ -109,40 +103,31 @@ def simulate(cells, sample_rate: float, duration: float, reduce) -> list:
     keeps its own stream layout and makes one call.
 
     The noise of the next workers + block_rows(n) cells is drawn ahead on
-    the draw pool, so the workers keep drawing while reduce takes a full
-    block, and at most that many noise arrays are held at once.  The
-    comparator and reduce run on the calling thread, in cell order, so the
-    results do not depend on the number of workers.  If anything
-    raises, the draws not yet started are cancelled and the running ones
-    waited for before the exception propagates."""
+    a pool of _draw_workers() threads, one pool per call, so the workers
+    keep drawing while reduce takes a full block, and at most that many
+    noise arrays are held at once.  The comparator and reduce run on the
+    calling thread, in cell order, so the results do not depend on the
+    number of workers.  The pool is closed before simulate returns or
+    raises: draws not yet started are cancelled and running ones waited
+    for."""
     size = block_rows(n_samples_for(sample_rate, duration))
-    pool, workers = _draw_pool()
-    window = workers + size
-    results, block, pending = [], [], deque()
-
-    def step():
-        nonlocal block
-        drive, config, draw = pending.popleft()
-        block.append(run(config, drive, draw.result()))
-        if len(block) == size:
-            results.extend(reduce(block))
-            block = []
-
+    workers = _draw_workers()
+    results, block = [], []
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="srlab-noise")
     try:
-        for drive, config, spec, stream in cells:
-            pending.append((drive, config,
-                            pool.submit(_draw_noise, spec, sample_rate, duration, stream)))
-            if len(pending) == window:
-                step()
+        draws = ((drive, config, pool.submit(_draw_noise, spec, sample_rate, duration, stream))
+                 for drive, config, spec, stream in cells)
+        pending = deque(islice(draws, workers + size))
         while pending:
-            step()
-    except BaseException:
-        for _, _, draw in pending:
-            draw.cancel()
-        wait([draw for _, _, draw in pending])
-        raise
-    if block:
-        results.extend(reduce(block))
+            drive, config, draw = pending.popleft()
+            block.append(run(config, drive, draw.result()))
+            del draw  # drop its noise array before the next draw is submitted
+            pending.extend(islice(draws, 1))
+            if len(block) == size or not pending:
+                results.extend(reduce(block))
+                block = []
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return results
 
 

@@ -380,6 +380,14 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert "--out-dir" in capsys.readouterr().out
 
+    def test_freq_table_help_offers_no_draw_rate(self, capsys):
+        # freq-table refuses every --noise-rate, so its help names none
+        with pytest.raises(SystemExit):
+            main(["freq-table", "--help"])
+        shown = " ".join(capsys.readouterr().out.split())
+        assert "noise draw rate" not in shown
+        assert "--noise-rate NOISE_RATE refused:" in shown
+
     def test_config_subcommand_mismatch(self, tmp_path):
         rc = main(["hysteresis", "--out-dir", str(tmp_path)])
         assert rc == 0

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import os
 import sys
@@ -190,13 +191,12 @@ class TestDrawPool:
     CELLS = [(POOL_DRIVE, CFG, NoiseSpec(0.05, 20000.0, seed=2), k) for k in range(40)]
 
     def test_worker_count(self):
-        _, workers = srlab.experiments._draw_pool()
-        assert workers == min(len(os.sched_getaffinity(0)), 4)
+        assert srlab.experiments._draw_workers() == min(len(os.sched_getaffinity(0)), 4)
 
     def test_draws_run_at_most_a_window_ahead(self, monkeypatch):
         # the noise arrays held at once: drawn, or being drawn, and not yet run
         draws = count_draws(monkeypatch)
-        _, workers = srlab.experiments._draw_pool()
+        workers = srlab.experiments._draw_workers()
         ahead = []
 
         def counted_run(config, drive, noise):
@@ -228,10 +228,21 @@ class TestDrawPool:
         assert after["started"] == after["finished"] < len(cells)
         time.sleep(0.05)
         assert draws == after
-        # the pool is still usable
+        # a later call still works
         assert len(simulate(self.CELLS[:3], 20000.0, self.N / 20000.0, lambda outs: outs)) == 3
 
-    def test_concurrent_callers_share_the_pool(self):
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_no_pool_thread_outlives_the_call(self, raises):
+        def reduce(outs):
+            if raises:
+                raise ZeroDivisionError("reducer failed")
+            return outs
+
+        with pytest.raises(ZeroDivisionError) if raises else contextlib.nullcontext():
+            simulate(self.CELLS, 20000.0, self.N / 20000.0, reduce)
+        assert [t.name for t in threading.enumerate() if t.name.startswith("srlab-noise")] == []
+
+    def test_concurrent_callers_get_the_serial_bytes(self):
         # more calling threads than workers and cores, switching often
         def digest(k):
             cells = [(*cell[:3], 100 * k + cell[3]) for cell in self.CELLS]
@@ -257,18 +268,15 @@ class TestDrawPool:
         assert not any(t.is_alive() for t in threads)
         assert got == want
 
-    # Python 3.12 on warns that forking a process with threads may deadlock:
-    # the case this test makes
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_forked_child_makes_its_own_pool(self):
         def digest():
             outs = simulate(self.CELLS, 20000.0, self.N / 20000.0, lambda outs: outs)
             return b"".join(out.switches.tobytes() for out in outs)
 
-        want = digest()  # the parent's pool now has running threads
+        want = digest()  # the parent has made and closed a pool
         read, write = os.pipe()
         pid = os.fork()
-        if pid == 0:  # child: the parent's worker threads do not exist here
+        if pid == 0:  # child: its simulate calls make their own pools
             os.close(read)
             try:
                 got = digest()
@@ -288,7 +296,7 @@ class TestDrawPool:
         with os.fdopen(read, "rb") as pipe:
             said = pipe.read()
         assert (os.waitstatus_to_exitcode(done[1]), said) == (0, b"same")
-        assert digest() == want  # and the parent's pool still works
+        assert digest() == want  # and the parent still gets the same bytes
 
 
 # Each experiment call makes one kernel call.  Patched where each module
