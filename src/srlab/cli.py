@@ -8,13 +8,15 @@ values, which win over built-in defaults.  `reproduce <preset>` bundles
 the canned parameter sets for the standard experiments.
 
 Exit codes: 0 success, 2 bad usage/configuration, 3 numeric failure.  A
-command that exits 2 or 3 writes nothing to --out-dir, and an --out-dir
-that is a file, or lies under one, exits 2.
+runner only computes; --out-dir is created and written after it returns,
+so a command that exits 2 or 3 writes nothing.  An --out-dir that is a
+file, lies under one, or that the OS refuses to create exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -174,47 +176,45 @@ def _noise(p: dict) -> NoiseSpec:
     return NoiseSpec(sigma=p.get("sigma", 1.0), noise_rate=rate, seed=p["seed"])
 
 
-def run_hysteresis(p: dict, out: Path, prefix: str) -> str:
+def run_hysteresis(p: dict) -> tuple[str, dict]:
     loop = hysteresis_sweep(build_trigger(p), p["v_min"], p["v_max"], p["points"])
-    write_hysteresis_csv(out / f"{prefix}.csv", loop)
-    return (
-        f"output falls at {loop.measured_down_threshold} V, "
-        f"rises at {loop.measured_up_threshold} V"
-    )
+    summary = (f"output falls at {loop.measured_down_threshold} V, "
+               f"rises at {loop.measured_up_threshold} V")
+    return summary, {"": (write_hysteresis_csv, loop)}
 
 
-def run_transitions(p: dict, out: Path, prefix: str) -> str:
+def run_transitions(p: dict) -> tuple[str, dict]:
     signal, combined, output = capture_transitions(
         build_trigger(p), _signal(p), _noise(p), p["sample_rate"], p["duration"]
     )
-    write_waveforms_csv(out / f"{prefix}.csv", signal, combined, output)
-    return f"{transition_count(output)} transitions in {p['duration']} s"
+    summary = f"{transition_count(output)} transitions in {p['duration']} s"
+    return summary, {"": (write_waveforms_csv, signal, combined, output)}
 
 
-def run_snr_sweep(p: dict, out: Path, prefix: str) -> str:
+def run_snr_sweep(p: dict) -> tuple[str, dict]:
     sweep = snr_sigma_sweep(
         build_trigger(p), _signal(p), _noise(p), parse_grid(p["sigma_grid"]),
         p["sample_rate"], p["duration"], p["repeats"],
     )
-    write_sweep_csv(out / f"{prefix}.csv", sweep)
+    files = {"": (write_sweep_csv, sweep)}
     if len(sweep) >= 3:
         s_star, snr_star = find_sr_peak(sweep)
-        return f"peak SNR {snr_star:.2f} dB at sigma {s_star} V"
-    return f"{len(sweep)}-point sweep"
+        return f"peak SNR {snr_star:.2f} dB at sigma {s_star} V", files
+    return f"{len(sweep)}-point sweep", files
 
 
-def run_detect_freq(p: dict, out: Path, prefix: str) -> str:
+def run_detect_freq(p: dict) -> tuple[str, dict]:
     report = detect_frequency(
         build_trigger(p), _signal(p), _noise(p), p["sample_rate"], p["duration"],
         dc_guard_hz=p["dc_guard"],
     )
-    write_freq_table_csv(out / f"{prefix}.csv", [report])
+    files = {"": (write_freq_table_csv, [report])}
     if report.detected:
-        return f"estimated {report.f_est} Hz (error {report.error_pct:.3f}%)"
-    return "no spectral peak detected"
+        return f"estimated {report.f_est} Hz (error {report.error_pct:.3f}%)", files
+    return "no spectral peak detected", files
 
 
-def run_freq_table(p: dict, out: Path, prefix: str) -> str:
+def run_freq_table(p: dict) -> tuple[str, dict]:
     if p["noise_rate"] is not None:
         raise ValueError("freq-table draws noise at the sample rate; drop --noise-rate")
     setup = DetectionSetup(
@@ -224,24 +224,22 @@ def run_freq_table(p: dict, out: Path, prefix: str) -> str:
     )
     frequencies = parse_grid(p["frequencies"])
     reports = error_rate_table(build_trigger(p), frequencies, setup, p["repeats"])
-    write_freq_table_csv(out / f"{prefix}.csv", reports)
     parts = []
     for s in summarize_error_table(reports):
         err = "none" if s.mean_error_pct is None else f"{s.mean_error_pct:.2f}%"
         parts.append(f"{s.f_true:g}Hz:{err}({s.n_detected}/{s.n_runs})")
-    return "mean error " + " ".join(parts)
+    return "mean error " + " ".join(parts), {"": (write_freq_table_csv, reports)}
 
 
-def run_optimal_sigma(p: dict, out: Path, prefix: str) -> str:
+def run_optimal_sigma(p: dict) -> tuple[str, dict]:
     sigma_star, curve = optimal_sigma_search(
         build_trigger(p), _signal(p), parse_grid(p["sigma_grid"]), p["repeats"],
         p["sample_rate"], p["duration"], p["seed"], noise_rate=p["noise_rate"],
     )
-    write_sweep_csv(out / f"{prefix}.csv", curve)
-    return f"best sigma {sigma_star} V"
+    return f"best sigma {sigma_star} V", {"": (write_sweep_csv, curve)}
 
 
-def run_t0_curve(p: dict, out: Path, prefix: str, fit: bool = False) -> str:
+def run_t0_curve(p: dict, fit: bool = False) -> tuple[str, dict]:
     curve = t0_sigma_curve(
         build_trigger(p), _signal(p), parse_grid(p["sigma_grid"]),
         n_runs=p["runs"], seed_base=p["seed"],
@@ -249,28 +247,26 @@ def run_t0_curve(p: dict, out: Path, prefix: str, fit: bool = False) -> str:
         noise_rate=p["noise_rate"],
     )
     summary = f"{len(curve)} noise levels, final mean t0 {curve[-1].mean_t0:.4f} s"
-    if fit:  # fitted before anything is written, so a refused fit leaves no file
+    files = {"": (write_t0_curve_csv, curve)}
+    if fit:
         sigmoid = fit_sigmoid(curve, plateau_T=p["duration"])
-        write_fits_csv(out / f"{prefix}_fit.csv", [(p["decay"], sigmoid)])
+        files["_fit"] = (write_fits_csv, [(p["decay"], sigmoid)])
         summary += f"; sigmoid r2 {sigmoid.r_squared:.4f}"
-    write_t0_curve_csv(out / f"{prefix}.csv", curve)
-    return summary
+    return summary, files
 
 
-def run_fit_sigmoid(p: dict, out: Path, prefix: str) -> str:
+def run_fit_sigmoid(p: dict) -> tuple[str, dict]:
     # the label is a decay, so it follows DampedSine's rule for one
     if p["decay"] is not None and not 0.0 <= p["decay"] < math.inf:
         raise ValueError(f"decay must be finite and >= 0, got {p['decay']}")
     curve = read_t0_curve_csv(p["input"])
     fit = fit_sigmoid(curve, plateau_T=p["plateau"], float_plateau=p["float_plateau"])
-    write_fits_csv(out / f"{prefix}.csv", [(p["decay"], fit)])
-    return (
-        f"slope {fit.slope_a:.2f} 1/V, center {fit.center_b:.4f} V, "
-        f"r2 {fit.r_squared:.4f}"
-    )
+    summary = (f"slope {fit.slope_a:.2f} 1/V, center {fit.center_b:.4f} V, "
+               f"r2 {fit.r_squared:.4f}")
+    return summary, {"": (write_fits_csv, [(p["decay"], fit)])}
 
 
-def run_estimate_decay(p: dict, out: Path, prefix: str) -> str:
+def run_estimate_decay(p: dict) -> tuple[str, dict]:
     paths = {}
     for entry in p["calibration"]:
         label, _, path = entry.partition("=")
@@ -284,16 +280,13 @@ def run_estimate_decay(p: dict, out: Path, prefix: str) -> str:
     estimate = calibrate_and_estimate_decay(
         curves, read_t0_curve_csv(p["observed"]), plateau_T=p["plateau"]
     )
-    write_fits_csv(
-        out / f"{prefix}.csv",
-        [*sorted(estimate.calibration_fits.items()),
-         (estimate.decay, estimate.observed_fit)],
-    )
+    fits = [*sorted(estimate.calibration_fits.items()),
+            (estimate.decay, estimate.observed_fit)]
     note = " (extrapolated)" if estimate.extrapolated else ""
-    return f"estimated decay {estimate.decay:.3f} 1/s{note}"
+    return f"estimated decay {estimate.decay:.3f} 1/s{note}", {"": (write_fits_csv, fits)}
 
 
-def run_bank_cmd(p: dict, out: Path, prefix: str) -> str:
+def run_bank_cmd(p: dict) -> tuple[str, dict]:
     min_rate = (
         p["min_rate"] if p["min_rate"] is not None
         else resonance_rate_for(p["frequency"])
@@ -313,7 +306,7 @@ def run_bank_cmd(p: dict, out: Path, prefix: str) -> str:
         seed_bases=range(p["seed"], p["seed"] + p["votes"]), noise_rate=p["noise_rate"],
     )
     n_res = sum(report.resonance_flags())
-    if p["mode"] == "threshold":  # the bracket can refuse the pattern: before any write
+    if p["mode"] == "threshold":
         bracket = amplitude_bracket(report)
         where = "outside the sweep" if bracket is None else f"in [{bracket[0]}, {bracket[1]}] V"
         summary = f"{n_res}/{len(report.results)} channels resonate; amplitude {where}"
@@ -321,21 +314,18 @@ def run_bank_cmd(p: dict, out: Path, prefix: str) -> str:
         consensus = most_common_estimate(r.f_est for r in report.results if r.resonating)
         summary = ("no resonating channel produced a frequency estimate" if consensus is None
                    else f"{n_res} channels resonate; consensus frequency {consensus} Hz")
-    write_bank_csv(out / f"{prefix}.csv", report)
-    return summary
+    return summary, {"": (write_bank_csv, report)}
 
 
-def run_threshold_law(p: dict, out: Path, prefix: str) -> str:
+def run_threshold_law(p: dict) -> tuple[str, dict]:
     grid = parse_grid(p["vdc_grid"])
-    write_rows(
-        out / f"{prefix}.csv",
-        ("v_dc_v", "v_th_v"),
-        (grid, [v_th_from_vdc(v) for v in grid.tolist()]),
-    )
-    return f"threshold law over {grid.size} supply settings"
+    columns = (grid, [v_th_from_vdc(v) for v in grid.tolist()])
+    return (f"threshold law over {grid.size} supply settings",
+            {"": (write_rows, ("v_dc_v", "v_th_v"), columns)})
 
 
-# Subcommand -> (parameter table, runner).
+# Subcommand -> (parameter table, runner).  A runner writes nothing: it returns
+# (summary, {file-name suffix: (csvio writer, its arguments after the path)}).
 COMMANDS = {
     "hysteresis": ({
         **_TRIG,
@@ -507,11 +497,23 @@ def _dispatch(args) -> str:
                 raise ValueError(f"{setting} {value} never reads {n}; the config file's "
                                  f"{n} = {config[n]} would be ignored")
     out = Path(args.out_dir)
-    # checked before anything runs, and nothing is created yet
-    nearest = next(d for d in (out, *out.parents) if d.exists())
-    if not nearest.is_dir():
-        raise ValueError(f"--out-dir {out} is or lies under the file {nearest}")
-    summary = runner(params, out, prefix)
+    chain = (out, *out.parents)
+    try:  # checked before anything runs, and nothing is created yet
+        n_missing = next(i for i, d in enumerate(chain) if d.exists())
+        if not chain[n_missing].is_dir():
+            raise ValueError(f"--out-dir {out} is or lies under the file {chain[n_missing]}")
+    except OSError as exc:
+        raise ValueError(f"--out-dir {out} is refused: {exc.strerror}") from exc
+    summary, files = runner(params)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        for d in chain[:n_missing]:  # deepest first: the empty folders mkdir made
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise ValueError(f"cannot create --out-dir {out}: {exc.strerror}") from exc
+    for suffix, (write, *data) in files.items():
+        write(out / f"{prefix}{suffix}.csv", *data)
     # a subcommand's key is "subcommand" itself, so its manifest has no preset
     manifest = {"subcommand": args.command, key: name, **params, "version": srlab.__version__}
     write_manifest(out / f"{prefix}_manifest.ini", manifest)

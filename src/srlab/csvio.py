@@ -58,15 +58,13 @@ def _format(column):
 
 
 def write_rows(path, header, columns) -> None:
-    """Write one CSV file under the package-wide byte contract, creating
-    its directory if needed.  `columns` holds one sequence per header name,
-    all of one length; row i takes item i of each."""
+    """Write one CSV file under the package-wide byte contract into an
+    existing directory.  `columns` holds one sequence per header name, all
+    of one length; row i takes item i of each."""
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != n for c in columns):
         raise ValueError(f"need {len(header)} columns of one length for {path}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _BLOCK):
             cells = [_format(c[start:start + _BLOCK]) for c in columns]
@@ -170,9 +168,7 @@ def write_manifest(path, params: dict) -> None:
     """Flat INI manifest of a fully resolved run configuration."""
     parser = configparser.ConfigParser()
     parser["run"] = {k: _cell(v) for k, v in params.items()}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         parser.write(fh)
 
 

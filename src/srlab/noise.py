@@ -10,6 +10,7 @@ generator state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ class NoiseSpec:
     noise_rate  rate at which fresh values are drawn, Hz; samples between
                 draws repeat the previous value (zero-order hold).  None,
                 the default, draws one value per grid sample
-    seed        base seed in [0, 2**64); combined with a stream index at
-                generation time
+    seed        base seed, an integer in [0, 2**64); combined with a
+                stream index at generation time
     """
 
     sigma: float
@@ -44,16 +45,18 @@ class NoiseSpec:
 
 
 def _check_seed(seed: int) -> None:
-    # Seeds are 64-bit: one outside is refused here rather than wrapped onto
-    # an in-range seed or handed to SeedSequence.
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    # Seeds are 64-bit integers: 1.5 is refused here rather than truncated to
+    # 1, and 2**64 rather than wrapped onto 0 or handed to SeedSequence.
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def noise_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); same pair, same draws.
-    seed must lie in [0, 2**64)."""
+    seed must be an integer in [0, 2**64) and stream an integer."""
     _check_seed(seed)
+    if not isinstance(stream, numbers.Integral):
+        raise ValueError(f"stream must be an integer, got {stream!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
 

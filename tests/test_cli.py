@@ -250,6 +250,16 @@ class TestExitCodes:
         assert afile.read_text() == "kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
+    # a name longer than the file system allows: refused by the check itself,
+    # or, below a folder that does not exist yet, only when --out-dir is made
+    @pytest.mark.parametrize("parts", [("n" * 300,), ("made", "n" * 300, "sub")])
+    def test_out_dir_the_os_refuses_is_config_error(self, tmp_path, capsys, parts):
+        rc = main(["reproduce", "fig8", "--out-dir", str(tmp_path.joinpath(*parts))])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     # decay labels follow DampedSine's rule for a decay: finite and >= 0
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "-1"])
     def test_bad_fit_decay_label_is_config_error(self, tmp_path, capsys, label):

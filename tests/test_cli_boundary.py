@@ -6,7 +6,8 @@ refused at the boundary (exit 2).  A finite one either runs (exit 0) or is
 refused (exit 2); with a finite value the two fitting commands may also
 fail their fit (exit 3).  No traceback, no warning, no output directory
 left behind by a refusal or a failed fit, and no large allocation before
-the refusal.
+the refusal.  A command refused after its runner has returned leaves no
+output directory either.
 """
 
 import math
@@ -139,3 +140,22 @@ def test_every_subcommand_refuses_or_runs_extreme_values(tmp_path, capsys):
 def test_base_argv_runs(command, tmp_path, capsys):
     assert main([command, *_bases(tmp_path)[command], f"--out-dir={tmp_path}"]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_refusal_after_the_runner_returns_writes_nothing(command, tmp_path, monkeypatch,
+                                                            capsys):
+    # the runner computes in full, then the command is refused: nothing may
+    # have been written by then
+    table, runner = COMMANDS[command]
+
+    def refuse(*args):
+        runner(*args)
+        raise ValueError("refused after the run")
+
+    argv = [command, *_bases(tmp_path)[command]]
+    monkeypatch.setitem(COMMANDS, command, (table, refuse))
+    out = tmp_path / "out"
+    assert main([*argv, f"--out-dir={out}"]) == 2
+    assert "refused after the run" in capsys.readouterr().err
+    assert not out.exists()

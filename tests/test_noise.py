@@ -44,6 +44,22 @@ class TestNoiseSpec:
         for good in (0, 5, 2**64 - 1):
             assert NoiseSpec(sigma=0.1, noise_rate=1000.0, seed=good).seed == good
 
+    def test_seed_and_stream_must_be_integers(self):
+        # int() used to truncate these onto the draws of seed 1 or stream 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            NoiseSpec(0.1, seed=1.5)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            noise_stream(np.float64(1.0))
+        with pytest.raises(ValueError, match="stream must be an integer"):
+            generate_noise(NoiseSpec(0.1), 1000.0, 0.01, stream=1.5)
+        with pytest.raises(ValueError, match="stream must be an integer"):
+            noise_stream(1, 1.0)
+        want = noise_stream(1, 2).normal(size=4).tobytes()
+        assert noise_stream(np.uint64(1), np.int32(2)).normal(size=4).tobytes() == want
+        a = generate_noise(NoiseSpec(0.1, seed=np.int64(1)), 1000.0, 0.01, stream=np.int64(2))
+        b = generate_noise(NoiseSpec(0.1, seed=1), 1000.0, 0.01, stream=2)
+        assert a.samples.tobytes() == b.samples.tobytes()
+
     def test_in_range_seeds_keep_their_draws(self):
         # the same draws as SeedSequence(seed) itself, as before the mask was dropped
         for seed in (0, 5, 2**63, 2**64 - 1):
