@@ -24,7 +24,6 @@ parameters across a calibration table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 # hysteresis, frequency-detection and bank paths never call scipy.
 from srlab.experiments import check_cells, increasing_grid, simulate
 from srlab.noise import NoiseSpec
-from srlab.signals import DampedSine, Trace, envelope, generate, n_samples_for
+from srlab.signals import DampedSine, Trace, _require, envelope, generate, n_samples_for
 from srlab.trigger import SwitchList, TriggerConfig
 
 
@@ -76,8 +75,7 @@ def t0_density_grid(gap: Trace, sigma: float) -> np.ndarray:
     """
     from scipy.special import log_ndtr, ndtr
 
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _require("sigma", sigma, positive=True)
     if gap.n_samples < 2:
         raise ValueError("the gap needs >= 2 grid points")
     # In place where a step would allocate a fresh grid-sized array, in the
@@ -160,9 +158,7 @@ class T0Stats:
                 f"n_no_transition {self.n_no_transition} outside [0, {self.n_runs}]"
             )
         for name in ("sigma", "mean_t0", "std_t0"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            _require(name, getattr(self, name))
 
 
 def mean_t0_monte_carlo(
@@ -244,9 +240,8 @@ class SigmoidFit:
     se_center_b: float
 
     def __post_init__(self):
-        if self.plateau_T <= 0.0:
-            raise ValueError(f"plateau_T must be > 0, got {self.plateau_T}")
-        if self.r_squared > 1.0 + 1e-12:
+        _require("plateau_T", self.plateau_T, positive=True)
+        if not self.r_squared <= 1.0 + 1e-12:  # a NaN fails it too
             raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
 
 
@@ -267,8 +262,7 @@ def fit_sigmoid(
     y = np.asarray([s.mean_t0 for s in curve], dtype=np.float64)
     if x.size < 4:
         raise ValueError(f"need >= 4 curve points to fit, got {x.size}")
-    if not 0.0 < plateau_T < math.inf:
-        raise ValueError(f"plateau_T must be finite and > 0, got {plateau_T}")
+    _require("plateau_T", plateau_T, positive=True)
     x = increasing_grid(x, "curve sigmas")
 
     a0 = 4.0 / (x[-1] - x[0])
@@ -356,8 +350,8 @@ def calibrate_and_estimate_decay(
         raise ValueError(
             f"need >= 3 calibration decay values, got {len(curves_by_b)}"
         )
-    if not all(0.0 <= b < math.inf for b in curves_by_b):
-        raise ValueError(f"calibration decays must be finite and >= 0, got {list(curves_by_b)}")
+    for b in curves_by_b:
+        _require("calibration decay", b)
     bs = np.asarray(sorted(float(b) for b in curves_by_b), dtype=np.float64)
     fits = {float(b): fit_sigmoid(c, plateau_T=plateau_T) for b, c in curves_by_b.items()}
     observed = fit_sigmoid(observed_curve, plateau_T=plateau_T)

@@ -15,7 +15,6 @@ by majority voting over independent seeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections import Counter
 from itertools import islice
@@ -25,7 +24,7 @@ import numpy as np
 from srlab.experiments import MAX_CELLS, check_cells, increasing_grid
 from srlab.freq_detect import _transition_peaks
 from srlab.noise import NoiseSpec
-from srlab.signals import SignalSpec, generate
+from srlab.signals import SignalSpec, _require, generate
 from srlab.trigger import TriggerConfig, _symmetric
 
 
@@ -37,8 +36,7 @@ class Detector:
     config: TriggerConfig
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        _require("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -58,17 +56,13 @@ class BankConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if len(self.detectors) < 2:
             raise ValueError(f"a bank needs >= 2 detectors, got {len(self.detectors)}")
-        if not 0.0 < self.min_transition_rate_hz < math.inf:
-            raise ValueError(
-                f"min_transition_rate_hz must be in (0, inf), got {self.min_transition_rate_hz}"
-            )
+        _require("min_transition_rate_hz", self.min_transition_rate_hz, positive=True)
 
 
 def resonance_rate_for(frequency: float) -> float:
     """Transition-rate criterion matched to a drive frequency: at resonance
     the output crosses about once per half period, i.e. rate ~ frequency."""
-    if not 0.0 < frequency < math.inf:
-        raise ValueError(f"frequency must be finite and > 0, got {frequency}")
+    _require("frequency", frequency, positive=True)
     return frequency
 
 

@@ -9,8 +9,10 @@ the canned parameter sets for the standard experiments.
 
 Exit codes: 0 success, 2 bad usage/configuration, 3 numeric failure.  A
 runner only computes; --out-dir is created and written after it returns,
-so a command that exits 2 or 3 writes nothing.  An --out-dir that is a
-file, lies under one, or that the OS refuses to create exits 2.
+so a command that exits 3, or 2 before writing, writes nothing.  An
+--out-dir that is a file, lies under one, or that the OS refuses to create
+exits 2, and so does a file write that fails; the files written before it
+stay.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from srlab.freq_detect import (
     summarize_error_table,
 )
 from srlab.noise import NoiseSpec
-from srlab.signals import MAX_SAMPLES, DampedSine, Sine
+from srlab.signals import MAX_SAMPLES, DampedSine, Sine, _require
 from srlab.trigger import (
     calibrated_config,
     hysteresis_sweep,
@@ -257,8 +259,8 @@ def run_t0_curve(p: dict, fit: bool = False) -> tuple[str, dict]:
 
 def run_fit_sigmoid(p: dict) -> tuple[str, dict]:
     # the label is a decay, so it follows DampedSine's rule for one
-    if p["decay"] is not None and not 0.0 <= p["decay"] < math.inf:
-        raise ValueError(f"decay must be finite and >= 0, got {p['decay']}")
+    if p["decay"] is not None:
+        _require("decay", p["decay"])
     curve = read_t0_curve_csv(p["input"])
     fit = fit_sigmoid(curve, plateau_T=p["plateau"], float_plateau=p["float_plateau"])
     summary = (f"slope {fit.slope_a:.2f} 1/V, center {fit.center_b:.4f} V, "
@@ -512,11 +514,16 @@ def _dispatch(args) -> str:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise ValueError(f"cannot create --out-dir {out}: {exc.strerror}") from exc
-    for suffix, (write, *data) in files.items():
-        write(out / f"{prefix}{suffix}.csv", *data)
     # a subcommand's key is "subcommand" itself, so its manifest has no preset
     manifest = {"subcommand": args.command, key: name, **params, "version": srlab.__version__}
-    write_manifest(out / f"{prefix}_manifest.ini", manifest)
+    writes = [(out / f"{prefix}{suffix}.csv", write, *data)
+              for suffix, (write, *data) in files.items()]
+    writes.append((out / f"{prefix}_manifest.ini", write_manifest, manifest))
+    for path, write, *data in writes:
+        try:
+            write(path, *data)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     return summary
 
 

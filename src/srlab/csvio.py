@@ -112,10 +112,13 @@ def write_freq_table_csv(path, reports) -> None:
     )
 
 
+_T0_CURVE_HEADER = ("sigma_v", "mean_t0_s", "std_t0_s", "n_runs", "n_no_transition")
+
+
 def write_t0_curve_csv(path, curve) -> None:
     write_rows(
         path,
-        ("sigma_v", "mean_t0_s", "std_t0_s", "n_runs", "n_no_transition"),
+        _T0_CURVE_HEADER,
         _columns(curve, "sigma", "mean_t0", "std_t0", "n_runs", "n_no_transition"),
     )
 
@@ -127,7 +130,7 @@ def read_t0_curve_csv(path) -> list[T0Stats]:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read t0-curve file {path}: {exc.strerror}") from exc
-    if not lines or lines[0] != "sigma_v,mean_t0_s,std_t0_s,n_runs,n_no_transition":
+    if not lines or lines[0] != ",".join(_T0_CURVE_HEADER):
         raise ValueError(f"{path} is not a t0-curve CSV (bad header)")
     curve = []
     for number, line in enumerate(lines[1:], start=2):

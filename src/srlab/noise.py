@@ -9,13 +9,12 @@ generator state.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.signals import MAX_SAMPLES, Trace, n_samples_for
+from srlab.signals import MAX_SAMPLES, Trace, _require, n_samples_for
 
 CLIP_V = 5.0  # hard amplitude limit applied to every draw, volts
 
@@ -37,10 +36,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.noise_rate is not None and not 0.0 < self.noise_rate < math.inf:
-            raise ValueError(f"noise_rate must be finite and > 0, got {self.noise_rate}")
+        _require("sigma", self.sigma)
+        if self.noise_rate is not None:
+            _require("noise_rate", self.noise_rate, positive=True)
         _check_seed(self.seed)
 
 

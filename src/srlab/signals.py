@@ -9,6 +9,13 @@ from typing import Union
 import numpy as np
 
 
+def _require(name: str, value: float, positive: bool = False) -> None:
+    """Refuse a scalar that is not finite and >= 0 (> 0 when positive); NaN
+    fails both comparisons, so it is refused too."""
+    if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Trace:
     """A uniformly sampled voltage record.
@@ -22,8 +29,7 @@ class Trace:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        _require("dt", self.dt, positive=True)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
 
@@ -47,10 +53,8 @@ class Sine:
     frequency: float
 
     def __post_init__(self):
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not 0.0 < self.frequency < math.inf:
-            raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
+        _require("amplitude", self.amplitude)
+        _require("frequency", self.frequency, positive=True)
 
 
 @dataclass(frozen=True)
@@ -62,12 +66,9 @@ class DampedSine:
     frequency: float
 
     def __post_init__(self):
-        if not 0.0 <= self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not 0.0 <= self.decay < math.inf:
-            raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
-        if not 0.0 < self.frequency < math.inf:
-            raise ValueError(f"frequency must be finite and > 0, got {self.frequency}")
+        _require("amplitude", self.amplitude)
+        _require("decay", self.decay)
+        _require("frequency", self.frequency, positive=True)
 
 
 SignalSpec = Union[Sine, DampedSine]
@@ -84,10 +85,8 @@ MAX_SAMPLES = 2**25
 def n_samples_for(sample_rate: float, duration: float) -> int:
     """Number of grid samples covering [0, duration) at sample_rate; at most
     MAX_SAMPLES."""
-    if not 0.0 < sample_rate < math.inf:
-        raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
-    if not 0.0 < duration < math.inf:
-        raise ValueError(f"duration must be finite and > 0, got {duration}")
+    _require("sample_rate", sample_rate, positive=True)
+    _require("duration", duration, positive=True)
     # the product of two finite floats can still overflow to inf
     n = int(round(min(sample_rate * duration, MAX_SAMPLES + 1)))
     if n > MAX_SAMPLES:

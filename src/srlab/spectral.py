@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.signals import Trace
+from srlab.signals import Trace, _require
 
 MAG_FLOOR = 1e-12
 MIN_PROMINENCE_DB = 6.0
@@ -47,8 +47,7 @@ class Spectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "mag_db", np.asarray(self.mag_db, dtype=np.float64))
-        if not 0.0 < self.df < math.inf:
-            raise ValueError(f"df must be finite and > 0, got {self.df}")
+        _require("df", self.df, positive=True)
         if self.mag_db.ndim not in (1, 2):
             raise ValueError(f"mag_db must be 1-D or a 2-D block, got {self.mag_db.ndim}-D")
         if self.mag_db.shape[-1] != self.n_samples // 2 + 1:
@@ -180,8 +179,8 @@ def _first_candidate(spectrum: Spectrum, dc_guard_hz: float | None) -> int:
 
 def _check_dc_guard(dc_guard_hz: float | None) -> None:
     # None picks the default guard; any other guard is a finite frequency >= 0
-    if dc_guard_hz is not None and not 0.0 <= dc_guard_hz < math.inf:
-        raise ValueError(f"dc_guard_hz must be finite and >= 0, got {dc_guard_hz}")
+    if dc_guard_hz is not None:
+        _require("dc_guard_hz", dc_guard_hz)
 
 
 def _peak_frequency(mags: np.ndarray, df: float, lo: int) -> float | None:

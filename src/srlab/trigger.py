@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.signals import MAX_SAMPLES, Trace
+from srlab.signals import MAX_SAMPLES, Trace, _require
 
 
 class TriggerState(enum.Enum):
@@ -60,8 +60,7 @@ class TriggerConfig:
 def thresholds_from_divider(v_sat: float, ratio: float) -> tuple[float, float]:
     """Symmetric thresholds (+v_sat*ratio, -v_sat*ratio) from the feedback
     divider ratio."""
-    if not 0.0 < v_sat < math.inf:
-        raise ValueError(f"v_sat must be finite and > 0, got {v_sat}")
+    _require("v_sat", v_sat, positive=True)
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     return (v_sat * ratio, -v_sat * ratio)
@@ -75,8 +74,7 @@ def v_th_from_vdc(v_dc: float) -> float:
     rounded to 12 decimals; binary float residue would otherwise keep e.g.
     v_dc=4 from reproducing its printed value 0.199 exactly.
     """
-    if not 0.0 < v_dc < math.inf:
-        raise ValueError(f"v_dc must be finite and > 0, got {v_dc}")
+    _require("v_dc", v_dc, positive=True)
     return round(0.051 * v_dc - 0.005, 12)
 
 

@@ -110,10 +110,11 @@ class TestDensityGrid:
 
     def test_sigma_validated(self):
         gap = Trace(1e-3, np.full(5, 0.1))
-        with pytest.raises(ValueError):
-            t0_density_grid(gap, 0.0)
-        with pytest.raises(ValueError):
-            expected_t0_theory(gap, -0.1)
+        for sigma in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+                t0_density_grid(gap, sigma)
+            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+                expected_t0_theory(gap, sigma)
 
 
 class TestExpectedT0:
@@ -325,10 +326,10 @@ class TestSigmoidFit:
         assert why in str(exc.value)
 
     def test_fit_object_validation(self):
-        with pytest.raises(ValueError):
-            SigmoidFit(20.0, 0.2, -1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            SigmoidFit(20.0, 0.2, 1.5, 1.5, 0.0, 0.0)
+        for plateau, r2 in ((-1.0, 1.0), (1.5, 1.5), (math.nan, 1.0), (math.inf, 1.0),
+                            (1.5, math.nan)):
+            with pytest.raises(ValueError):
+                SigmoidFit(20.0, 0.2, plateau, r2, 0.0, 0.0)
 
 
 class TestDecayEstimation:

@@ -260,6 +260,15 @@ class TestExitCodes:
         assert "--out-dir" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_write_is_config_error(self, tmp_path, capsys):
+        # --out-dir exists, but a folder stands where the CSV goes
+        (tmp_path / "fig8.csv").mkdir()
+        rc = main(["reproduce", "fig8", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path / 'fig8.csv'}" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig8.csv"]
+
     # decay labels follow DampedSine's rule for a decay: finite and >= 0
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "-1"])
     def test_bad_fit_decay_label_is_config_error(self, tmp_path, capsys, label):
