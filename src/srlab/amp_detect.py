@@ -35,7 +35,7 @@ import numpy as np
 # hysteresis, frequency-detection and bank paths never call scipy.
 from srlab.experiments import check_cells, increasing_grid, simulate
 from srlab.noise import NoiseSpec
-from srlab.signals import DampedSine, Trace, _require, envelope, generate, n_samples_for
+from srlab.signals import DampedSine, Trace, _is_count, _require, envelope, generate, n_samples_for
 from srlab.trigger import SwitchList, TriggerConfig
 
 
@@ -151,6 +151,9 @@ class T0Stats:
     n_no_transition: int
 
     def __post_init__(self):
+        for name in ("n_runs", "n_no_transition"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         if not 0 <= self.n_no_transition <= self.n_runs:

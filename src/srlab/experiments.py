@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -60,14 +60,17 @@ class SweepResult:
 # Noise is drawn on a small thread pool that each simulate call makes and
 # closes: numpy releases the GIL inside the Philox normal draw, and each
 # (seed, stream) is independent of the others.  The calling thread keeps the
-# comparator and the reducers, about a quarter of a t0 curve, so workers
-# beyond four have little left to overlap with.
+# comparator and the reducers, about a quarter of a t0 curve, and draws too
+# while it waits, so the pool leaves it one CPU: a worker per CPU as well
+# would put three threads on two CPUs, and the caller would lose its CPU
+# and the GIL to workers refilling the window.
 def _draw_workers() -> int:
-    """Workers of simulate's draw pool: min(CPUs this process may use, 4)."""
+    """Workers of simulate's draw pool: max(1, min(CPUs this process may
+    use - 1, 3))."""
     # the CPUs this process may run on, where the OS says
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return min(cpus, 4)
+    return max(1, min(cpus - 1, 3))
 
 
 # Most cells one experiment call may simulate.  Every experiment builds its
@@ -89,6 +92,18 @@ def check_cells(levels: int, runs: int, name: str) -> None:
         )
 
 
+def _drawn(spec: NoiseSpec, sample_rate: float, duration: float, stream: int) -> Future:
+    """The noise of (spec, stream) drawn on the calling thread, as a done
+    Future: a draw that raises does so when its cell's turn comes, as it
+    would on the pool."""
+    drawn = Future()
+    try:
+        drawn.set_result(_draw_noise(spec, sample_rate, duration, stream))
+    except Exception as exc:
+        drawn.set_exception(exc)
+    return drawn
+
+
 def simulate(cells, sample_rate: float, duration: float, reduce) -> list:
     """The Monte-Carlo step of every experiment: for each cell
     (drive, trigger_config, noise_spec, stream), drive the comparator with
@@ -102,27 +117,37 @@ def simulate(cells, sample_rate: float, duration: float, reduce) -> list:
     cell order; the caller picks every cell's address, so each experiment
     keeps its own stream layout and makes one call.
 
-    The noise of the next workers + block_rows(n) cells is drawn ahead on
-    a pool of _draw_workers() threads, one pool per call, so the workers
+    The noise of the next workers + block_rows(n) + 1 cells is drawn ahead
+    on a pool of _draw_workers() threads, one pool per call, so the workers
     keep drawing while reduce takes a full block, and at most that many
-    noise arrays are held at once.  The comparator and reduce run on the
-    calling thread, in cell order, so the results do not depend on the
-    number of workers.  The pool is closed before simulate returns or
-    raises: draws not yet started are cancelled and running ones waited
-    for."""
+    noise arrays are held at once.  While the oldest cell's noise is not
+    drawn, the calling thread draws the newest cell that no worker has
+    started, so the far end of the window fills while the workers take the
+    near end.  The comparator and reduce run on the calling thread, in cell
+    order, so the results do not depend on the number of workers or on who
+    drew a cell.  The pool is closed before simulate returns or raises:
+    draws not yet started are cancelled and running ones waited for."""
     size = block_rows(n_samples_for(sample_rate, duration))
     workers = _draw_workers()
     results, block = [], []
     pool = ThreadPoolExecutor(workers, thread_name_prefix="srlab-noise")
     try:
-        draws = ((drive, config, pool.submit(_draw_noise, spec, sample_rate, duration, stream))
+        # each slot is [drive, config, spec, stream, the Future of its noise]
+        slots = ([drive, config, spec, stream,
+                  pool.submit(_draw_noise, spec, sample_rate, duration, stream)]
                  for drive, config, spec, stream in cells)
-        pending = deque(islice(draws, workers + size))
+        pending = deque(islice(slots, workers + size + 1))
         while pending:
-            drive, config, draw = pending.popleft()
+            while not pending[0][4].done():
+                # cancel() succeeds only on a draw no worker has started
+                steal = next((slot for slot in reversed(pending) if slot[4].cancel()), None)
+                if steal is None:
+                    break
+                steal[4] = _drawn(steal[2], sample_rate, duration, steal[3])
+            drive, config, _, _, draw = pending.popleft()
             block.append(run(config, drive, draw.result()))
             del draw  # drop its noise array before the next draw is submitted
-            pending.extend(islice(draws, 1))
+            pending.extend(islice(slots, 1))
             if len(block) == size or not pending:
                 results.extend(reduce(block))
                 block = []

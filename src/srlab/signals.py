@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -14,6 +15,12 @@ def _require(name: str, value: float, positive: bool = False) -> None:
     fails both comparisons, so it is refused too."""
     if not (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+
+
+def _is_count(value) -> bool:
+    """Whether value is an integer count: any integral type but bool, so
+    1.0 and True are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ def envelope(spec: DampedSine, t):
     if not isinstance(spec, DampedSine):
         raise ValueError("envelope is only defined for DampedSine specs")
     t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0):
+    if not np.all(t_arr >= 0.0):  # NaN fails this too
         raise ValueError("t must be >= 0")
     out = spec.amplitude * np.exp(-spec.decay * t_arr)
     return float(out) if np.isscalar(t) or out.ndim == 0 else out

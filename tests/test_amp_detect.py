@@ -180,6 +180,10 @@ class TestT0Stats:
             T0Stats(0.1, 0.5, 0.1, n_runs=5, n_no_transition=6)
         with pytest.raises(ValueError):
             T0Stats(0.1, -0.5, 0.1, n_runs=5, n_no_transition=0)
+        # counts are integers, and a bool is not one
+        for runs, none in ((2.5, 1), (True, 0), (5, 0.0), (5, False)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                T0Stats(0.2, 0.5, 0.1, n_runs=runs, n_no_transition=none)
 
     @pytest.mark.parametrize("field", ["sigma", "mean_t0", "std_t0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])

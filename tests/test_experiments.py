@@ -23,6 +23,7 @@ from srlab.noise import NoiseSpec, generate_noise
 from srlab.signals import DampedSine, Sine, Trace, generate
 from srlab.spectral import BLOCK_SAMPLES, periodogram, snr_db
 from srlab.trigger import ideal_config, run, transition_count
+from test_properties import serial_simulate
 
 CFG = ideal_config(1.0, 0.045, 0.5)
 SIGNAL = Sine(0.05, 500.0)  # sub-threshold after the divider
@@ -191,7 +192,9 @@ class TestDrawPool:
     CELLS = [(POOL_DRIVE, CFG, NoiseSpec(0.05, 20000.0, seed=2), k) for k in range(40)]
 
     def test_worker_count(self):
-        assert srlab.experiments._draw_workers() == min(len(os.sched_getaffinity(0)), 4)
+        # one CPU is left to the calling thread, which draws too
+        assert srlab.experiments._draw_workers() == max(
+            1, min(len(os.sched_getaffinity(0)) - 1, 3))
 
     def test_draws_run_at_most_a_window_ahead(self, monkeypatch):
         # the noise arrays held at once: drawn, or being drawn, and not yet run
@@ -206,7 +209,44 @@ class TestDrawPool:
         monkeypatch.setattr(srlab.experiments, "run", counted_run)
         simulate(self.CELLS, 20000.0, self.N / 20000.0, lambda outs: outs)
         assert len(ahead) == len(self.CELLS) == draws["finished"]
-        assert 1 <= max(ahead) <= workers + 8
+        assert 1 <= max(ahead) <= workers + 1 + 8
+
+    @staticmethod
+    def slow_pool_draws(monkeypatch) -> list:
+        """Make every draw off the calling thread sleep first, so the caller
+        finds cells no worker has started; return the streams it draws."""
+        draw, caller = srlab.experiments._draw_noise, threading.get_ident()
+        by_caller = []
+
+        def slow_off_the_caller(spec, sample_rate, duration, stream):
+            if threading.get_ident() == caller:
+                by_caller.append(stream)
+            else:
+                time.sleep(0.005)
+            return draw(spec, sample_rate, duration, stream)
+
+        monkeypatch.setattr(srlab.experiments, "_draw_noise", slow_off_the_caller)
+        return by_caller
+
+    def test_caller_draws_cells_no_worker_has_started(self, monkeypatch):
+        by_caller = self.slow_pool_draws(monkeypatch)
+        draws = count_draws(monkeypatch)
+        got = simulate(self.CELLS, 20000.0, self.N / 20000.0, lambda outs: outs)
+        assert by_caller
+        assert draws["started"] == draws["finished"] == len(self.CELLS)
+        want = serial_simulate(self.CELLS, 20000.0, self.N / 20000.0, lambda outs: outs)
+        assert [(out.first_high, out.switches.tobytes()) for out in got] == \
+            [(out.first_high, out.switches.tobytes()) for out in want]
+
+    def test_a_draw_the_caller_made_raises_in_cell_order(self, monkeypatch):
+        # the caller draws cell 9 before cell 3 is run, but cell 3's refusal comes first
+        by_caller = self.slow_pool_draws(monkeypatch)
+        cells = list(self.CELLS)
+        cells[3] = (generate(SIGNAL, 20000.0, 0.1), *cells[3][1:])
+        cells[9] = (*cells[9][:3], -1)
+        with pytest.raises(ValueError, match="length differ"):
+            simulate(cells, 20000.0, self.N / 20000.0, lambda outs: outs)
+        assert -1 in by_caller
 
     @pytest.mark.parametrize("where", ["reduce", "run", "draw"])
     def test_no_draw_outlives_a_raising_call(self, monkeypatch, where):

@@ -302,7 +302,8 @@ def peak_inputs(draw):
     guard = draw(st.one_of(st.none(), bins.map(lambda j: df * j),
                            bins.map(lambda j: df * (j + 0.5)),
                            st.floats(0.0, 2.0 * df * (m + 1))))
-    return _peak_input(mags, df, draw(st.integers(0, 1))), guard
+    # one bin is a one-sample spectrum: zero samples is not a spectrum
+    return _peak_input(mags, df, draw(st.integers(0, 1)) if m > 1 else 1), guard
 
 
 class TestSecondPeakSelection:
@@ -316,7 +317,7 @@ class TestSecondPeakSelection:
     @example((_peak_input([0.0, -100.0, 6.0, -100.0], 2.5), 1e300))  # guard past the end
     @example((_peak_input([0.0, -10.0, -1.0, -10.0, -4.0, -10.0]), 0.0))  # middle pair -10, -4
     @example((_peak_input([0.0, 10.0, 0.0, 0.0]), 0.0))            # the peak is bin 1
-    @example((_peak_input([5.0]), None))
+    @example((_peak_input([5.0], odd_samples=1), None))
     @example((_peak_input([5.0, 6.0]), 0.0))
     def test_equals_masked_median(self, case):
         spectrum, guard = case

@@ -121,3 +121,6 @@ class TestEnvelope:
         spec = DampedSine(amplitude=1.0, decay=2.0, frequency=10.0)
         with pytest.raises(ValueError):
             envelope(spec, -0.1)
+        for t in (float("nan"), [0.0, float("nan")]):  # NaN is not a time >= 0
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                envelope(spec, t)

@@ -30,6 +30,10 @@ class TestSpectrum:
             mags[4] = bad
             with pytest.raises(ValueError):
                 Spectrum(df=1.0, mag_db=mags, n_samples=20)
+        # a row count that is not an integer >= 1, even where mag_db's length fits it
+        for mags, n in (([], -1), (np.zeros(1), 0), (np.zeros(11), 20.0), (np.zeros(11), True)):
+            with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+                Spectrum(df=1.0, mag_db=mags, n_samples=n)
 
 
 class TestPeriodogram:
