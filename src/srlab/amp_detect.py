@@ -35,7 +35,8 @@ import numpy as np
 # hysteresis, frequency-detection and bank paths never call scipy.
 from srlab.experiments import check_cells, increasing_grid, simulate
 from srlab.noise import NoiseSpec
-from srlab.signals import DampedSine, Trace, _is_count, _require, envelope, generate, n_samples_for
+from srlab.signals import (DampedSine, Trace, _require, _require_count, envelope, generate,
+                           n_samples_for)
 from srlab.trigger import SwitchList, TriggerConfig
 
 
@@ -151,15 +152,8 @@ class T0Stats:
     n_no_transition: int
 
     def __post_init__(self):
-        for name in ("n_runs", "n_no_transition"):
-            if not _is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_runs < 1:
-            raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
-        if not 0 <= self.n_no_transition <= self.n_runs:
-            raise ValueError(
-                f"n_no_transition {self.n_no_transition} outside [0, {self.n_runs}]"
-            )
+        _require_count("n_runs", self.n_runs, 1)
+        _require_count("n_no_transition", self.n_no_transition, 0, self.n_runs + 1)
         for name in ("sigma", "mean_t0", "std_t0"):
             _require(name, getattr(self, name))
 
@@ -213,11 +207,12 @@ def _t0_curve(trigger_config, damped, sigmas, n_runs, seed_base, sample_rate, du
     # stream_base + i*n_runs + r, and a zero level's one run stands for n_runs.
     sigmas = increasing_grid(sigmas, "sigma grid").tolist()
     check_cells(len(sigmas), n_runs, "n_runs")
+    _require_count("stream_base", stream_base, 0)
+    specs = [NoiseSpec(sigma, noise_rate, seed_base) for sigma in sigmas]
     signal = generate(damped, sample_rate, duration)
     runs = [1 if sigma == 0.0 else n_runs for sigma in sigmas]
-    cells = [(signal, trigger_config, NoiseSpec(sigma, noise_rate, seed_base),
-              stream_base + i * n_runs + r)
-             for i, (sigma, k) in enumerate(zip(sigmas, runs)) for r in range(k)]
+    cells = [(signal, trigger_config, spec, stream_base + i * n_runs + r)
+             for i, (spec, k) in enumerate(zip(specs, runs)) for r in range(k)]
     t0s = simulate(cells, sample_rate, duration,
                    lambda outs: [last_transition_time(out) for out in outs])
     levels = np.split(np.asarray(t0s), np.cumsum(runs)[:-1])

@@ -179,12 +179,13 @@ def vote_bank(
     # iterable, so no more are read
     seeds = list(islice(seed_bases, MAX_CELLS // n + 1))
     check_cells(n, len(seeds), "seed_bases")
-    signal = generate(signal_spec, sample_rate, duration)
     # One simulate call over every (seed, channel) cell, seed-major;
-    # channel i uses stream i of each seed base.
-    cells = [(signal, det.config, NoiseSpec(det.sigma, noise_rate, seed=s), i)
+    # channel i uses stream i of each seed base.  The noise specs come
+    # first, so a bad seed is refused before the drive is built.
+    cells = [(det.config, NoiseSpec(det.sigma, noise_rate, seed=s), i)
              for s in seeds for i, det in enumerate(bank.detectors)]
-    outcomes = _transition_peaks(cells, sample_rate, duration)
+    signal = generate(signal_spec, sample_rate, duration)
+    outcomes = _transition_peaks([(signal, *cell) for cell in cells], sample_rate, duration)
     voted = []
     for i, det in enumerate(bank.detectors):
         rates, f_ests = zip(*outcomes[i::n])

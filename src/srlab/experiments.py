@@ -21,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from srlab.noise import NoiseSpec, _draw_noise, generate_noise
-from srlab.signals import SignalSpec, Trace, generate, n_samples_for
+from srlab.signals import SignalSpec, Trace, _require_count, generate, n_samples_for
 from srlab.spectral import _SpectrumBlock, block_rows, signal_bin, snr_db
 from srlab.trigger import SwitchList, TriggerConfig, run
 
@@ -44,8 +44,7 @@ class SweepResult:
     def __post_init__(self):
         for name in ("sigmas", "snr_mean_db", "snr_std_db"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        _require_count("repeats", self.repeats, 1)
         n = self.sigmas.size
         if self.snr_mean_db.size != n or self.snr_std_db.size != n:
             raise ValueError(
@@ -81,10 +80,9 @@ MAX_CELLS = 2**20
 
 def check_cells(levels: int, runs: int, name: str) -> None:
     """Size an experiment call of `runs` runs at each of `levels` levels:
-    refuse fewer than one run, or more than MAX_CELLS cells, naming the
-    parameter `name` that sets the run count."""
-    if runs < 1:
-        raise ValueError(f"{name} must be >= 1, got {runs}")
+    refuse a run count that is not an integer >= 1, or more than MAX_CELLS
+    cells, naming the parameter `name` that sets the run count."""
+    _require_count(name, runs, 1)
     if levels * runs > MAX_CELLS:
         raise ValueError(
             f"{name} asks for more cells than the ceiling of {MAX_CELLS} "
@@ -157,9 +155,12 @@ def simulate(cells, sample_rate: float, duration: float, reduce) -> list:
 
 
 def increasing_grid(values, name: str) -> np.ndarray:
-    """A grid of noise levels or thresholds as a float64 array; refuses an
-    empty grid and one that is not strictly increasing, naming it `name`."""
+    """A grid of noise levels or thresholds as a 1-D float64 array; refuses
+    any other shape, an empty grid and one that is not strictly increasing,
+    naming it `name`."""
     grid = np.asarray(values, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got {grid.ndim}-D")
     if grid.size == 0:
         raise ValueError(f"{name} is empty")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
@@ -187,8 +188,8 @@ def snr_sigma_sweep(
     sigmas = increasing_grid(sigmas, "sigma grid")
     check_cells(sigmas.size, repeats, "repeats")
     f_signal = signal_spec.frequency
-    signal = generate(signal_spec, sample_rate, duration)
     specs = [replace(noise_template, sigma=float(sigma)) for sigma in sigmas]
+    signal = generate(signal_spec, sample_rate, duration)
     cells = [(signal, trigger_config, spec, i * repeats + r)
              for i, spec in enumerate(specs) for r in range(repeats)]
     block = _SpectrumBlock(signal, len(cells))

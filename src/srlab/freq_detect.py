@@ -21,7 +21,7 @@ import numpy as np
 
 from srlab.experiments import SweepResult, check_cells, simulate, snr_sigma_sweep
 from srlab.noise import NoiseSpec
-from srlab.signals import DampedSine, Trace, generate
+from srlab.signals import DampedSine, Trace, _require_count, generate
 from srlab.spectral import (
     Spectrum,
     _check_dc_guard,
@@ -79,6 +79,7 @@ class DetectionSetup:
     dc_guard_hz: float | None = None
 
     def __post_init__(self):
+        _require_count("seed_base", self.seed_base, 0, 2**64)
         _check_dc_guard(self.dc_guard_hz)
 
 
@@ -166,10 +167,10 @@ def error_rate_table(
         seen.add(f)
     check_cells(len(frequencies), repeats, "repeats")
     p = base_params
-    damped = [DampedSine(p.amplitude, p.decay, f) for f in frequencies]
-    drives = [generate(d, p.sample_rate, p.duration) for d in damped]
     specs = [NoiseSpec(sigma=p.sigma, seed=p.seed_base + r)
              for r in range(repeats)]
+    damped = [DampedSine(p.amplitude, p.decay, f) for f in frequencies]
+    drives = [generate(d, p.sample_rate, p.duration) for d in damped]
     runs = [(d, drive, spec, i) for i, (d, drive) in enumerate(zip(damped, drives))
             for spec in specs]
     return _detect_runs(trigger_config, runs, p.sample_rate, p.duration, p.dc_guard_hz)

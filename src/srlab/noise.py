@@ -9,12 +9,11 @@ generator state.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.signals import MAX_SAMPLES, Trace, _require, n_samples_for
+from srlab.signals import MAX_SAMPLES, Trace, _require, _require_count, n_samples_for
 
 CLIP_V = 5.0  # hard amplitude limit applied to every draw, volts
 
@@ -39,22 +38,16 @@ class NoiseSpec:
         _require("sigma", self.sigma)
         if self.noise_rate is not None:
             _require("noise_rate", self.noise_rate, positive=True)
-        _check_seed(self.seed)
-
-
-def _check_seed(seed: int) -> None:
-    # Seeds are 64-bit integers: 1.5 is refused here rather than truncated to
-    # 1, and 2**64 rather than wrapped onto 0 or handed to SeedSequence.
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        _require_count("seed", self.seed, 0, 2**64)
 
 
 def noise_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); same pair, same draws.
-    seed must be an integer in [0, 2**64) and stream an integer."""
-    _check_seed(seed)
-    if not isinstance(stream, numbers.Integral):
-        raise ValueError(f"stream must be an integer, got {stream!r}")
+    seed must be an integer in [0, 2**64) and stream an integer >= 0: 1.5
+    is refused rather than truncated to 1, and 2**64 rather than wrapped
+    onto 0 or handed to SeedSequence."""
+    _require_count("seed", seed, 0, 2**64)
+    _require_count("stream", stream, 0)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
 

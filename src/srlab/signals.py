@@ -17,10 +17,13 @@ def _require(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
-def _is_count(value) -> bool:
-    """Whether value is an integer count: any integral type but bool, so
-    1.0 and True are not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _require_count(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse a value that is not an integer in [low, high), or >= low when
+    high is None: any integral type but bool, so 1.0 and True are refused."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or not (low <= value and (high is None or value < high))):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.signals import Trace, _is_count, _require
+from srlab.signals import Trace, _require, _require_count
 
 MAG_FLOOR = 1e-12
 MIN_PROMINENCE_DB = 6.0
@@ -48,8 +48,7 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "mag_db", np.asarray(self.mag_db, dtype=np.float64))
         _require("df", self.df, positive=True)
-        if not _is_count(self.n_samples) or self.n_samples < 1:
-            raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
+        _require_count("n_samples", self.n_samples, 1)
         if self.mag_db.ndim not in (1, 2):
             raise ValueError(f"mag_db must be 1-D or a 2-D block, got {self.mag_db.ndim}-D")
         if self.mag_db.shape[-1] != self.n_samples // 2 + 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srlab.signals import MAX_SAMPLES, Trace, _require
+from srlab.signals import MAX_SAMPLES, Trace, _require, _require_count
 
 
 class TriggerState(enum.Enum):
@@ -241,8 +241,7 @@ def hysteresis_sweep(
         raise ValueError(f"sweep ends must be finite, got {v_min}, {v_max}")
     if not v_min < v_max:
         raise ValueError(f"require v_min < v_max, got {v_min} >= {v_max}")
-    if not 2 <= points <= MAX_SAMPLES:
-        raise ValueError(f"need 2 to {MAX_SAMPLES} sweep points, got {points}")
+    _require_count("points", points, 2, MAX_SAMPLES + 1)
     v_up = np.linspace(v_min, v_max, points)
     v_down = v_up[::-1].copy()
     # each branch's output on a unit-step grid of its points

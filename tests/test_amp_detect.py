@@ -180,9 +180,13 @@ class TestT0Stats:
             T0Stats(0.1, 0.5, 0.1, n_runs=5, n_no_transition=6)
         with pytest.raises(ValueError):
             T0Stats(0.1, -0.5, 0.1, n_runs=5, n_no_transition=0)
-        # counts are integers, and a bool is not one
-        for runs, none in ((2.5, 1), (True, 0), (5, 0.0), (5, False)):
-            with pytest.raises(ValueError, match="must be an integer"):
+        # counts are integers, and a bool is not one; each refusal names its count
+        for runs, none, match in ((2.5, 1, r"n_runs must be an integer >= 1, got 2\.5"),
+                                  (True, 0, "n_runs must be an integer >= 1, got True"),
+                                  (5, 0.0, r"n_no_transition must be an integer in \[0, 6\)"),
+                                  (5, 2.0, r"n_no_transition must be an integer in \[0, 6\)"),
+                                  (5, False, r"n_no_transition must be an integer in \[0, 6\)")):
+            with pytest.raises(ValueError, match=match):
                 T0Stats(0.2, 0.5, 0.1, n_runs=runs, n_no_transition=none)
 
     @pytest.mark.parametrize("field", ["sigma", "mean_t0", "std_t0"])

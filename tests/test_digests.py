@@ -25,6 +25,10 @@ RUNS = {
     "bank_threshold": ["bank", "--mode", "threshold"],
     "bank_sigma": ["bank", "--mode", "sigma"],
     "detect_freq": ["detect-freq"],
+    # no preset draws below the sample rate, holding each draw: these two do
+    "t0_curve_rate": ["t0-curve", "--noise-rate", "10000", "--runs", "5",
+                      "--sigma-grid", "0:0.3:0.05"],
+    "bank_rate": ["bank", "--noise-rate", "4000", "--votes", "5"],
 }
 
 # (numpy, scipy) versions -> run -> {file: sha256}
@@ -71,17 +75,43 @@ DIGESTS = {
             "detect_freq_manifest.ini":
                 "9c1bc961eb13cf512c1cf54b18057bc581720a4a70f81dfe5e7f6ad72f852794",
         },
+        "t0_curve_rate": {
+            "t0_curve.csv": "35a473ef9e29eb003a8e553afd874b6e9e8c8903051327ba224b16959a7aa61c",
+            "t0_curve_manifest.ini":
+                "10044f384f153f858ef38f38d2b15601f27f994b8fcc84c000ce46a24a4a0ee6",
+        },
+        "bank_rate": {
+            "bank.csv": "8f568820ffe5e7f23bfb9a6bfe04cfbc7649ce48f25b50ba508dc1ed0e3cd5a6",
+            "bank_manifest.ini":
+                "dc9f2c8143aa2586107a28ae4f9c449152802d9e44e655a9966e98638673ab17",
+        },
     },
 }
 
 KEY = (np.__version__, scipy.__version__)
 
 
-@pytest.mark.parametrize("name", RUNS)
-def test_output_digests(tmp_path, name):
+def _digests(name: str) -> dict:
     if KEY not in DIGESTS:
         pytest.skip(f"no digests for (numpy, scipy) {KEY}; recorded for {sorted(DIGESTS)}")
-    want = DIGESTS[KEY][name]
+    return DIGESTS[KEY][name]
+
+
+def _sha256(folder, files) -> dict:
+    return {f: hashlib.sha256((folder / f).read_bytes()).hexdigest() for f in files}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_output_digests(tmp_path, name):
+    want = _digests(name)
     assert main([*RUNS[name], "--out-dir", str(tmp_path)]) == 0
-    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in want}
-    assert got == want
+    assert _sha256(tmp_path, want) == want
+
+
+def test_config_replay_digests(tmp_path):
+    # a run replayed from its manifest writes the pinned bytes of the run itself
+    want = _digests("fig4")
+    assert main(["reproduce", "fig4", "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["reproduce", "fig4", "--config", str(tmp_path / "run" / "fig4_manifest.ini"),
+                 "--out-dir", str(tmp_path / "replay")]) == 0
+    assert _sha256(tmp_path / "replay", want) == want

@@ -65,8 +65,9 @@ class TestSweepResult:
             SweepResult([0.1, 0.2], [1.0], [0.0, 0.0], repeats=2, seed_base=0)
 
     def test_repeats_validated(self):
-        with pytest.raises(ValueError):
-            SweepResult([0.1], [1.0], [0.0], repeats=0, seed_base=0)
+        for repeats in (0, True, 2.0):
+            with pytest.raises(ValueError, match="repeats must be an integer >= 1"):
+                SweepResult([0.1], [1.0], [0.0], repeats=repeats, seed_base=0)
 
     def test_len(self):
         sw = SweepResult([0.1, 0.2, 0.3], [1.0, 2.0, 1.5], [0.1, 0.1, 0.1], 2, 0)
@@ -134,8 +135,20 @@ class TestSweep:
             snr_sigma_sweep(CFG, SIGNAL, ns, [], 20000.0, 0.1)
         with pytest.raises(ValueError):
             snr_sigma_sweep(CFG, SIGNAL, ns, [0.1, 0.05], 20000.0, 0.1)
-        with pytest.raises(ValueError):
-            snr_sigma_sweep(CFG, SIGNAL, ns, [0.05], 20000.0, 0.1, repeats=0)
+        # a grid is 1-D: a nested list used to end in a TypeError, and a bare
+        # level was taken as a 0-d grid
+        for grid, dims in (([[0.05, 0.1]], 2), (0.1, 0)):
+            with pytest.raises(ValueError, match=f"sigma grid must be 1-D, got {dims}-D"):
+                snr_sigma_sweep(CFG, SIGNAL, ns, grid, 20000.0, 0.1)
+            with pytest.raises(ValueError, match=f"sigma grid must be 1-D, got {dims}-D"):
+                t0_sigma_curve(CFG, DampedSine(0.4, 5.0, 10.0), grid, 2, duration=0.1)
+            with pytest.raises(ValueError, match=f"thresholds must be 1-D, got {dims}-D"):
+                threshold_sweep_bank(grid, 0.002, 250.0)
+        # a run count is an integer >= 1, and a bool is not one
+        for repeats in (0, True, 2.5):
+            with pytest.raises(ValueError, match="repeats must be an integer >= 1"):
+                snr_sigma_sweep(CFG, SIGNAL, ns, [0.05], 20000.0, 0.1, repeats=repeats)
+
 
 class TestSimulate:
     @pytest.mark.parametrize("n", [1000, 8000, 30000, BLOCK_SAMPLES, BLOCK_SAMPLES + 1])
@@ -371,6 +384,32 @@ def test_one_simulate_call_per_experiment(name, monkeypatch):
     monkeypatch.setattr(importlib.import_module(module), "simulate", counted)
     experiment()
     assert len(calls) == 1 and calls[0] >= 1
+
+
+def test_bad_counts_refused_before_any_noise_is_drawn(monkeypatch):
+    # a bool or float count used to be refused only after every draw, or to
+    # end in a TypeError, or to pass as the int 1
+    def no_draws(*args):
+        raise AssertionError("noise drawn for a refused input")
+
+    monkeypatch.setattr(srlab.experiments, "_draw_noise", no_draws)
+    damped, bank = DampedSine(0.1, 5.0, 500.0), sigma_sweep_bank([0.01, 0.02], 0.02, 50.0)
+    refused = [
+        ("repeats", lambda: snr_sigma_sweep(
+            CFG, SIGNAL, NoiseSpec(1.0, 20000.0), [0.01, 0.05], 20000.0, 0.05, repeats=True)),
+        ("n_runs", lambda: t0_sigma_curve(CFG, damped, [0.05, 0.1], n_runs=True, duration=0.05)),
+        ("repeats", lambda: error_rate_table(
+            CFG, [500.0], DetectionSetup(duration=0.05), repeats=2.0)),
+        ("seed", lambda: vote_bank(bank, SIGNAL, 20000.0, 0.05, seed_bases=[True])),
+        ("seed_base", lambda: DetectionSetup(seed_base=True)),
+        ("stream_base", lambda: mean_t0_monte_carlo(
+            CFG, damped, 0.05, 3, 0, 20000.0, 0.05, stream_base=True)),
+        ("stream_base", lambda: mean_t0_monte_carlo(
+            CFG, damped, 0.05, 3, 0, 20000.0, 0.05, stream_base=-1)),
+    ]
+    for name, call in refused:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
 
 
 class TestFindPeak:

@@ -54,6 +54,17 @@ class TestNoiseSpec:
             generate_noise(NoiseSpec(0.1), 1000.0, 0.01, stream=1.5)
         with pytest.raises(ValueError, match="stream must be an integer"):
             noise_stream(1, 1.0)
+        # a bool is not an integer here: True used to draw stream 1's noise
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                NoiseSpec(0.1, seed=flag)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                noise_stream(flag)
+            with pytest.raises(ValueError, match="stream must be an integer"):
+                noise_stream(0, flag)
+        # numpy used to refuse a negative stream in its own words
+        with pytest.raises(ValueError, match=r"^stream must be an integer >= 0, got -1$"):
+            noise_stream(0, -1)
         want = noise_stream(1, 2).normal(size=4).tobytes()
         assert noise_stream(np.uint64(1), np.int32(2)).normal(size=4).tobytes() == want
         a = generate_noise(NoiseSpec(0.1, seed=np.int64(1)), 1000.0, 0.01, stream=np.int64(2))

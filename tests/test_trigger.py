@@ -230,10 +230,10 @@ class TestHysteresis:
         cfg = ideal_config()
         with pytest.raises(ValueError):
             hysteresis_sweep(cfg, 0.2, -0.2, points=100)
-        with pytest.raises(ValueError):
-            hysteresis_sweep(cfg, -0.2, 0.2, points=1)
-        with pytest.raises(ValueError):
-            hysteresis_sweep(cfg, -0.2, 0.2, points=MAX_SAMPLES + 1)
+        # a point count is an integer in [2, MAX_SAMPLES]; 2.5 used to reach linspace
+        for points in (1, MAX_SAMPLES + 1, 2.5, True):
+            with pytest.raises(ValueError, match=r"^points must be an integer in \[2, "):
+                hysteresis_sweep(cfg, -0.2, 0.2, points=points)
         for v_max in (float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 hysteresis_sweep(cfg, -0.2, v_max, points=100)
